@@ -76,6 +76,12 @@ def _param(text: str) -> tuple:
     return sympy.Rational(lam), sympy.Rational(mu)
 
 
+def _ratio(text: str) -> tuple:
+    """A parameter λ:μ as a point of the projective line."""
+    lam, mu = _param(text)
+    return (1, mu / lam) if lam else (0, 1)
+
+
 def check_spectrum(meta: dict, output: str) -> list[str]:
     problems = []
     try:
@@ -88,6 +94,12 @@ def check_spectrum(meta: dict, output: str) -> list[str]:
     t = poly(meta["t"])
     if poly(doc["s"]) != s or poly(doc["t"]) != t:
         problems.append("report names another pencil")
+    # one entry per distinct parameter asked for; 1:2 twice is one parameter
+    asked = meta["params"].split(",")
+    reported = [_ratio(p) for p in doc["height_one"]]
+    if len(reported) != len(set(reported)) or set(reported) != {_ratio(p) for p in asked}:
+        problems.append(f"height-one primes for {sorted(doc['height_one'])}, "
+                        f"asked for {asked}")
 
     built = None
     if meta.get("factors"):
@@ -133,6 +145,13 @@ def check_spectrum(meta: dict, output: str) -> list[str]:
                 problems.append(f"point {pc['point']}: not singular on ({pc['parameter']})")
         else:
             problems.append(f"point {pc['point']}: kind {pc['kind']}")
+    if meta.get("points"):
+        # the input was built with these points as its only singular points
+        stratum = doc["residually_null"]
+        got = {tuple(Fraction(c) for c in pc["point"]) for pc in stratum["points"]}
+        if got != set(meta["points"]) or not stratum["points_complete"]:
+            problems.append(f"points {sorted(got)} (complete: {stratum['points_complete']}), "
+                            f"expected exactly {sorted(meta['points'])}")
     return problems
 
 
@@ -178,16 +197,15 @@ def check_lift(meta: dict, output: str) -> list[str]:
 
 
 def check_corpus(meta: dict, output: str) -> list[str]:
+    """Every bundled entry passes, in name order, under its summary line."""
+    n = len(meta["entries"])
+    want = [f"PASS  {name}" for name in meta["entries"]] + [f"{n}/{n} passed"]
     lines = output.splitlines()
-    if not lines:
-        return ["no output"]
-    entries = lines[:-1]
-    failed = [ln for ln in entries if not ln.startswith("PASS  ")]
-    n = len(entries)
-    problems = [f"entry not passed: {ln}" for ln in failed]
-    if n == 0 or lines[-1] != f"{n}/{n} passed":
-        problems.append(f"summary line reads {lines[-1]!r}")
-    return problems
+    if lines == want:
+        return []
+    return ([f"expected line missing: {ln!r}" for ln in want if ln not in lines]
+            + [f"unexpected line: {ln!r}" for ln in lines if ln not in want]
+            or ["lines out of order"])
 
 
 CHECKS = {"spectrum": check_spectrum, "lift": check_lift, "corpus": check_corpus}

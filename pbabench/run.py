@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import hashlib
 import importlib
 import io
 import json
@@ -25,6 +24,7 @@ import platform
 import resource
 import signal
 import statistics
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter, perf_counter_ns
@@ -39,7 +39,7 @@ SRC = ROOT / "src"
 OUT = HERE / "out"
 
 # Wall-clock deadline of one operation, per workload, far above the slowest
-# passing operation seen on the reference host (0.14 s, 0.13 s and 1.14 s).
+# passing operation seen on the reference host (0.25 s, 0.15 s and 1.14 s).
 # A failed operation is charged its deadline in every time figure.
 DEADLINE_S = {"corpus": 5.0, "spectrum": 1.0, "lift": 30.0}
 SETUP_REPEATS = 21
@@ -67,16 +67,26 @@ def _import_pba():
 
 def setup(workload: str, seed: int):
     """Import `pba` afresh and build the inputs, SETUP_REPEATS times; returns
-    the median calibrated set-up time in s, the cli module and the ops."""
+    the median calibrated set-up time in s, the cli module and the ops.
+
+    Every import compiles `pba` from source, whatever bytecode caches the
+    checkout holds: bytecode is looked for only under an empty prefix
+    directory, and none is written."""
+    saved = sys.pycache_prefix, sys.dont_write_bytecode
+    sys.pycache_prefix = str(OUT / "no-pycache")
+    sys.dont_write_bytecode = True
     times = []
-    for _ in range(SETUP_REPEATS):
-        before = [clock.time_loop() for _ in range(3)]
-        t0 = perf_counter_ns()
-        cli = _import_pba()
-        ops = workloads.WORKLOADS[workload](seed)
-        wall_ms = (perf_counter_ns() - t0) / 1e6
-        after = [clock.time_loop() for _ in range(3)]
-        times.append(clock.calibrated_ms(wall_ms, statistics.median(before + after)) / 1000)
+    try:
+        for _ in range(SETUP_REPEATS):
+            before = [clock.time_loop() for _ in range(3)]
+            t0 = perf_counter_ns()
+            cli = _import_pba()
+            ops = workloads.WORKLOADS[workload](seed)
+            wall_ms = (perf_counter_ns() - t0) / 1e6
+            after = [clock.time_loop() for _ in range(3)]
+            times.append(clock.calibrated_ms(wall_ms, statistics.median(before + after)) / 1000)
+    finally:
+        sys.pycache_prefix, sys.dont_write_bytecode = saved
     return statistics.median(times), cli, ops
 
 
@@ -206,29 +216,16 @@ def check_outputs(workload: str, loop: Loop) -> dict[int, list[str]]:
 
 
 def commit() -> str | None:
-    """HEAD of the checkout's git repository, read from .git, if there is one."""
-    git = ROOT / ".git"
+    """HEAD of the checkout, when the checkout is the top of a git work tree."""
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
-
-
-def source_digest() -> str:
-    h = hashlib.sha256()
-    for path in sorted((SRC / "pba").rglob("*")):
-        if path.is_file() and path.suffix in (".py", ".json"):
-            h.update(path.relative_to(SRC).as_posix().encode() + b"\0" + path.read_bytes())
-    return h.hexdigest()
+        proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=ROOT,
+                              capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    lines = proc.stdout.split()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != ROOT:
+        return None
+    return lines[1]
 
 
 def main(argv=None) -> int:
@@ -290,7 +287,7 @@ def main(argv=None) -> int:
     raw = sorted(w for _, status, w, _ in loop.records if status == "ok")
     record = {
         "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "trace": args.trace, "commit": commit(), "source_sha256": source_digest(),
+        "trace": args.trace, "commit": commit(),
         "python": platform.python_version(),
         "rounds": rounds_u + (rounds_t if args.trace else 0), "ops_per_round": len(ops),
         "deadline_s": loop.deadline_s, "failures": failures, "problems": problems,

@@ -77,6 +77,29 @@ def test_spectrum_check_rejects_factor_unlike_sympy(product_op):
     assert checks.check_spectrum(product_op.meta, json.dumps(doc))
 
 
+def test_spectrum_check_rejects_dropped_parameter(product_op):
+    doc = json.loads(pba_output(product_op))
+    assert len(doc["height_one"]) >= 2
+    del doc["height_one"]["1:0"]
+    problems = checks.check_spectrum(product_op.meta, json.dumps(doc))
+    assert any("asked for" in p for p in problems)
+
+
+@pytest.mark.parametrize("corrupt", ["no points", "one point", "incomplete"])
+def test_spectrum_check_rejects_missing_points(cubic_op, corrupt):
+    doc = json.loads(pba_output(cubic_op))
+    stratum = doc["residually_null"]
+    assert len(stratum["points"]) == 2 and stratum["points_complete"]
+    if corrupt == "no points":
+        stratum["points"] = []
+    elif corrupt == "one point":
+        stratum["points"].pop()
+    else:
+        stratum["points_complete"] = False
+    problems = checks.check_spectrum(cubic_op.meta, json.dumps(doc))
+    assert any("expected exactly" in p for p in problems)
+
+
 def test_spectrum_check_rejects_wrong_point(cubic_op):
     doc = json.loads(pba_output(cubic_op))
     points = doc["residually_null"]["points"]
@@ -125,6 +148,15 @@ def test_corpus_check_rejects_failed_entry():
     assert checks.check_corpus(op.meta, text) == []
     bad = re.sub(r"^PASS  equitable", "FAIL  equitable", text, flags=re.M)
     assert checks.check_corpus(op.meta, bad)
+
+
+def test_corpus_check_rejects_dropped_entry():
+    op = workloads.corpus_ops(0)[0]
+    lines = pba_output(op).splitlines()
+    assert lines[-1] == "11/11 passed"
+    bad = "\n".join([ln for ln in lines[:-1] if not ln.endswith("  sl2")] + ["10/10 passed"])
+    problems = checks.check_corpus(op.meta, bad + "\n")
+    assert "expected line missing: 'PASS  sl2'" in problems
 
 
 # -- failure accounting -----------------------------------------------------

@@ -105,8 +105,11 @@ def spectrum_ops(seed: int) -> list[Op]:
                  (1, 1, 1): -a * b * c}
             text = mp.render(s)
             params = f"1:0,1:{2 * k ** 3},1:{rng.choice(NONZERO)}"
+            point = (Fraction(k, a), Fraction(k, b), Fraction(k, c))
             ops.append(Op(("spectrum", "--s", text, "--t", "1", "--params", params,
-                           "--max-deg", "3", "--json"), {"s": text, "t": "1", "factors": None}))
+                           "--max-deg", "3", "--json"),
+                          {"s": text, "t": "1", "params": params, "factors": None,
+                           "points": (point, tuple(-v for v in point))}))
             continue
         (d1, d2), kind = slot
         # fixed term counts keep the cost of one slot from seed to seed
@@ -124,10 +127,12 @@ def spectrum_ops(seed: int) -> list[Op]:
         ops.append(Op(
             ("spectrum", "--s", text, "--t", mp.render(t), "--params", params,
              "--max-deg", "3", "--json"),
-            {"s": text, "t": mp.render(t), "factors": (mp.render(f1), mp.render(f2))},
+            {"s": text, "t": mp.render(t), "params": params,
+             "factors": (mp.render(f1), mp.render(f2))},
         ))
     ops.append(Op(("spectrum", "--s", STUCK_S, "--params", STUCK_PARAMS, "--json"),
-                  {"s": STUCK_S, "t": "1", "factors": None, "stuck": True}))
+                  {"s": STUCK_S, "t": "1", "params": STUCK_PARAMS, "factors": None,
+                   "stuck": True}))
     return ops
 
 
@@ -173,9 +178,17 @@ def lift_ops(seed: int) -> list[Op]:
     return ops
 
 
+# Names of the entries of the bundled corpus, each of which must pass.
+CORPUS_ENTRIES = (
+    "coordinate-ratio", "equitable", "heisenberg", "linear", "monomial-x-y2",
+    "monomial-x2-y", "monomial-xyz", "quantum-torus", "sl2", "solvable-invariants",
+    "whitney",
+)
+
+
 def corpus_ops(seed: int) -> list[Op]:
     # the bundled corpus is fixed; the seed changes nothing here
-    return [Op(("corpus", "run"))]
+    return [Op(("corpus", "run"), {"entries": CORPUS_ENTRIES})]
 
 
 WORKLOADS = {"corpus": corpus_ops, "spectrum": spectrum_ops, "lift": lift_ops}
