@@ -3,15 +3,14 @@
 Each entry names a bracket (s, t), sampled pencil parameters, and the
 expected residually-null dimension, maximal points, and per-parameter
 factor data. run_corpus computes fresh reports and diffs them against
-the expectations; entries run concurrently and results come back sorted
-by name. A bundled corpus covering the worked examples ships with the
+the expectations; entries run one after another and results come back
+sorted by name. A bundled corpus covering the worked examples ships with the
 package.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -112,9 +111,5 @@ def _check_entry(entry: CorpusEntry) -> CorpusResult:
 
 
 def run_corpus(entries: list[CorpusEntry]) -> list[CorpusResult]:
-    """Evaluate all entries concurrently; results sorted by entry name."""
-    if not entries:
-        return []
-    with ThreadPoolExecutor(max_workers=min(8, len(entries))) as pool:
-        results = list(pool.map(_check_entry, entries))
-    return sorted(results, key=lambda r: r.name)
+    """Evaluate all entries in turn; results sorted by entry name."""
+    return sorted((_check_entry(e) for e in entries), key=lambda r: r.name)

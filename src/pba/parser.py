@@ -11,6 +11,8 @@ than '*'):
 
 A leading '-' is sugar for 0 - expr. '/' is only the rational-constant
 separator; dividing non-constant terms is reported as a dedicated error.
+Parentheses nest at most MAX_NESTING deep, which keeps the recursive
+descent well inside the interpreter's recursion limit.
 render() is the canonical inverse: graded-lex descending term order,
 reduced coefficients, explicit '*'. parse(render(p)) == p.
 """
@@ -35,6 +37,8 @@ class ParseError(ValueError):
         msg = note if note else f"expected {want}, found {found}"
         super().__init__(f"offset {offset}: {msg}")
 
+
+MAX_NESTING = 100
 
 _NUM = "NUM"
 _VAR = "VAR"
@@ -74,6 +78,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -154,14 +159,23 @@ class _Parser:
                 return Poly.constant(Fraction(num, den))
             return Poly.constant(num)
         if kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(offset, ("'x'", "'y'", "'z'", "integer"), "'('",
+                                 f"parentheses nested more than {MAX_NESTING} deep")
             self.take()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             kind, _, _ = self.peek()
             if kind != ")":
                 self.fail(("')'",))
             self.take()
             return inner
-        self.fail(("'x'", "'y'", "'z'", "integer", "'('", "'-'"))
+        expected = ("'x'", "'y'", "'z'", "integer", "'('")
+        if self.pos == 0 or self.tokens[self.pos - 1][0] == "(":
+            # only an expression may start with '-'
+            expected += ("'-'",)
+        self.fail(expected)
 
 
 def parse(text: str) -> Poly:

@@ -9,10 +9,14 @@ x > y > z throughout.
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as igcd
 from typing import Iterable, Iterator, Union
+
+from ._engine import clear_denominators
 
 Monomial = tuple[int, int, int]
 ScalarLike = Union[Fraction, int]
@@ -349,12 +353,137 @@ def divides(q: Poly, p: Poly) -> bool:
     return exact_quotient(p, q) is not None
 
 
-# -- gcd via primitive polynomial remainder sequences ----------------
+# -- gcd: heuristic integer gcd (GCDHEU) with a PRS fallback ---------
 #
-# Recursion on the main variable (first of x, y, z present): split off the
-# content (gcd of the univariate-view coefficients, which live in the later
-# variables), then run a primitive PRS on the primitive parts. Taking
-# primitive parts each step keeps coefficients small without modular tricks.
+# Over Q a gcd is fixed only up to a unit, so both inputs are first cleared
+# to primitive integer polynomials. GCDHEU (Char, Geddes & Gonnet, "GCDHEU:
+# heuristic polynomial GCD algorithm based on integer GCD computation",
+# J. Symb. Comp. 7, 1989) evaluates the last variable present at an integer
+# xi >= 2*min(|a|, |b|) + 2, where |.| is the largest coefficient, takes the
+# gcd of the two images recursively down to an integer gcd, and rebuilds a
+# candidate from the balanced base-xi digits of that gcd. A primitive
+# candidate that divides both inputs exactly over Z is their gcd (Geddes,
+# Czapor & Labahn, "Algorithms for Computer Algebra", 1992, Thm 7.7). A
+# failed test grows xi; after _HEU_TRIES failures, or once an image would
+# pass _HEU_MAX_BITS, the primitive polynomial remainder sequence (Brown,
+# "On Euclid's algorithm and the computation of polynomial greatest common
+# divisors", JACM 18, 1971) answers instead.
+
+ZPoly = dict[Monomial, int]
+
+_HEU_TRIES = 6
+# bit length of xi times the degree in the evaluated variable: a bound on
+# the size of the integers an evaluation makes
+_HEU_MAX_BITS = 16000
+
+
+def _primitive_integer(p: Poly) -> ZPoly:
+    return {m: c.numerator for m, c in clear_denominators(p._terms, grlex_key).items()}
+
+
+def _zcontent(a: ZPoly) -> int:
+    c = 0
+    for v in a.values():
+        c = igcd(c, v)
+        if c == 1:
+            break
+    return c
+
+
+def _zquo(a: ZPoly, b: ZPoly) -> Union[ZPoly, None]:
+    """Quotient a/b when b divides a over Z, else None."""
+    blm = max(b, key=grlex_key)
+    blc = b[blm]
+    bterms = [(m, c) for m, c in b.items() if m != blm]
+    rem = dict(a)
+    # max-heap of remainder monomials in graded-lex order; the leading
+    # monomial only falls, so a popped monomial never comes back
+    heap = [(-m[0] - m[1] - m[2], -m[0], -m[1], -m[2]) for m in rem]
+    heapq.heapify(heap)
+    quot: ZPoly = {}
+    while heap:
+        m = tuple(-e for e in heapq.heappop(heap)[1:])
+        c = rem.pop(m, 0)
+        if not c:
+            continue
+        d = (m[0] - blm[0], m[1] - blm[1], m[2] - blm[2])
+        if d[0] < 0 or d[1] < 0 or d[2] < 0:
+            return None
+        q, r = divmod(c, blc)
+        if r:
+            return None
+        quot[d] = q
+        for bm, bc in bterms:
+            key = (d[0] + bm[0], d[1] + bm[1], d[2] + bm[2])
+            old = rem.get(key)
+            if old is None:
+                heapq.heappush(heap, (-key[0] - key[1] - key[2], -key[0], -key[1], -key[2]))
+                rem[key] = -q * bc
+            else:
+                rem[key] = old - q * bc
+    return quot
+
+
+def _zeval(a: ZPoly, vi: int, xi: int) -> ZPoly:
+    powers = [1]
+    for _ in range(max(m[vi] for m in a)):
+        powers.append(powers[-1] * xi)
+    out: ZPoly = {}
+    for m, c in a.items():
+        key = m[:vi] + (0,) + m[vi + 1:]
+        out[key] = out.get(key, 0) + c * powers[m[vi]]
+    return {m: c for m, c in out.items() if c}
+
+
+def _zinterp(g: ZPoly, vi: int, xi: int) -> ZPoly:
+    # balanced base-xi digits of each coefficient become the coefficients
+    # of the powers of variable vi
+    half = xi // 2
+    out: ZPoly = {}
+    for m, c in g.items():
+        e = 0
+        while c:
+            d = c % xi
+            if d > half:
+                d -= xi
+            if d:
+                key = list(m)
+                key[vi] = e
+                out[tuple(key)] = d
+            c = (c - d) // xi
+            e += 1
+    return out
+
+
+def _gcd_heu(a: ZPoly, b: ZPoly) -> Union[ZPoly, None]:
+    """gcd over Z of nonzero a and b, or None when the heuristic gives up."""
+    ca, cb = _zcontent(a), _zcontent(b)
+    c = igcd(ca, cb)
+    if len(a) == 1 and _ORIGIN_MONO in a or len(b) == 1 and _ORIGIN_MONO in b:
+        return {_ORIGIN_MONO: c}
+    if ca != 1:
+        a = {m: v // ca for m, v in a.items()}
+    if cb != 1:
+        b = {m: v // cb for m, v in b.items()}
+    vi = max(i for i in range(3) if any(m[i] for m in a) or any(m[i] for m in b))
+    deg = max(max(m[vi] for m in a), max(m[vi] for m in b))
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+    for _ in range(_HEU_TRIES):
+        if xi.bit_length() * deg > _HEU_MAX_BITS:
+            return None
+        ea, eb = _zeval(a, vi, xi), _zeval(b, vi, xi)
+        g = _gcd_heu(ea, eb) if ea and eb else ea or eb
+        if g is None:
+            return None
+        h = _zinterp(g, vi, xi)
+        ch = _zcontent(h)
+        if ch != 1:
+            h = {m: v // ch for m, v in h.items()}
+        if _zquo(a, h) is not None and _zquo(b, h) is not None:
+            return {m: v * c for m, v in h.items()} if c != 1 else h
+        # the growth factor of Char, Geddes & Gonnet
+        xi = xi * 73794 // 27011
+    return None
 
 
 def _as_univariate(p: Poly, vi: int) -> dict[int, Poly]:
@@ -385,16 +514,19 @@ def _first_variable(p: Poly, q: Poly) -> Union[int, None]:
 
 
 def _content_primitive(p: Poly, vi: int) -> tuple[Poly, Poly]:
+    """Content in the later variables, up to a rational unit, and the
+    primitive part in variable vi, cleared to coprime integer coefficients.
+    With constant coefficients the content is their rational content."""
     coeffs = _as_univariate(p, vi)
     content = Poly.zero()
     for d in sorted(coeffs):
-        content = _gcd_rec(content, coeffs[d]) if content else coeffs[d]
+        content = _gcd_prs(content, coeffs[d])
         if content.is_constant():
-            content = Poly.one()
             break
     prim = exact_quotient(p, content)
-    assert prim is not None
-    return content, prim
+    if prim is None:
+        raise ArithmeticError(f"content {content} does not divide {p}")
+    return content, Poly._make(clear_denominators(prim._terms, grlex_key))
 
 
 def _prem(a: dict[int, Poly], b: dict[int, Poly], vi: int) -> dict[int, Poly]:
@@ -425,7 +557,9 @@ def _primitive_part(r: dict[int, Poly], vi: int) -> Poly:
     return prim
 
 
-def _gcd_rec(p: Poly, q: Poly) -> Poly:
+def _gcd_prs(p: Poly, q: Poly) -> Poly:
+    """gcd up to a rational unit by a primitive remainder sequence in the
+    first variable present, with the contents' gcd taken recursively."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -435,7 +569,7 @@ def _gcd_rec(p: Poly, q: Poly) -> Poly:
         return Poly.one()
     cp, pp = _content_primitive(p, vi)
     cq, pq = _content_primitive(q, vi)
-    cont = _gcd_rec(cp, cq)
+    cont = _gcd_prs(cp, cq)
     a, b = _as_univariate(pp, vi), _as_univariate(pq, vi)
     if max(a) < max(b):
         a, b = b, a
@@ -449,9 +583,15 @@ def _gcd_rec(p: Poly, q: Poly) -> Poly:
 def gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor, normalized so the graded-lex leading
     coefficient is 1; gcd(0, 0) = 0."""
-    if p.is_zero() and q.is_zero():
-        return Poly.zero()
-    return _gcd_rec(p, q).monic()
+    if p.is_zero():
+        return q.monic()
+    if q.is_zero():
+        return p.monic()
+    g = _gcd_heu(_primitive_integer(p), _primitive_integer(q))
+    if g is None:
+        return _gcd_prs(p, q).monic()
+    lc = g[max(g, key=grlex_key)]
+    return Poly._make({m: Fraction(c, lc) for m, c in g.items()})
 
 
 def gcd_many(polys: Iterable[Poly]) -> Poly:

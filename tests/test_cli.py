@@ -89,6 +89,27 @@ def test_spectrum_bad_param_syntax():
     assert "lambda:mu" in err
 
 
+def test_spectrum_deep_nesting_is_a_usage_error():
+    code, _, err = run_cli("spectrum", "--s", "(" * 3000 + "x" + ")" * 3000, "--params", "1:0")
+    assert code == 2
+    assert "--s" in err and "nested" in err
+
+
+def test_parse_error_does_not_expect_what_it_found():
+    code, _, err = run_cli("check-jacobi", "--f", "x + -y", "--g", "z", "--h", "x")
+    assert code == 2
+    assert "found '-'" in err and "'-', found" not in err
+
+
+def test_spectrum_square_free_part_of_degree_six():
+    # the pseudo-remainder sequence that used to find this gcd never finished
+    code, out, _ = run_cli("spectrum", "--s", "(x^2*y+z-3)*(x*y+z)*(x+1)", "--params", "1:0")
+    assert code == 0
+    for gen in ("(x + 1)", "(x*y + z)", "(x^2*y + z - 3)"):
+        assert gen + "  [primitive, multiplicity 1" in out
+    assert "factorization_complete=true" in out
+
+
 def test_spectrum_json_round_trip():
     code, out, _ = run_cli(
         "spectrum", "--s", "1/2*z^2 - 2*x*y", "--params", "1:0,1:1", "--json"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pba.parser import ParseError, parse, render
+from pba.parser import MAX_NESTING, ParseError, parse, render
 from pba.poly import Poly, X, Y, Z
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
@@ -73,6 +73,26 @@ def test_unbalanced_parens_rejected():
         parse("(x + y")
     with pytest.raises(ParseError):
         parse("x + y)")
+
+
+def test_nesting_past_the_limit_is_a_parse_error():
+    assert parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING) == X
+    for depth in (MAX_NESTING + 1, 3000):
+        with pytest.raises(ParseError, match="nested") as info:
+            parse("(" * depth + "x" + ")" * depth)
+        assert info.value.offset == MAX_NESTING
+
+
+def test_minus_is_expected_only_where_an_expression_starts():
+    for text in ("x + -y", "x*-y"):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.found == "'-'"
+        assert "'-'" not in info.value.expected
+    for text in ("", "(*"):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert "'-'" in info.value.expected
 
 
 @given(polys)

@@ -3,15 +3,18 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pba import poly
 from pba.poly import (
     Poly,
     SquareFreePart,
     X,
     Y,
     Z,
+    _gcd_prs,
     divides,
     exact_quotient,
     gcd,
@@ -23,9 +26,44 @@ coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 monos = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
 polys = st.dictionaries(monos, coeffs, max_size=6).map(Poly)
 points = st.tuples(coeffs, coeffs, coeffs)
-# gcd over a PRS is exponential in degree; keep its inputs small
-tiny_monos = st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1))
-tiny_polys = st.dictionaries(tiny_monos, coeffs, max_size=3).map(Poly)
+
+SX, SY, SZ = sp.symbols("x y z")
+
+
+def to_sympy(p: Poly):
+    expr = sp.Integer(0)
+    for (i, j, k), c in p.items():
+        expr += sp.Rational(c.numerator, c.denominator) * SX**i * SY**j * SZ**k
+    return sp.expand(expr)
+
+
+def sympy_monic_grlex(expr):
+    if expr == 0:
+        return expr
+    pb = sp.Poly(expr, SX, SY, SZ)
+    lc = max(pb.terms(), key=lambda t: (sum(t[0]), t[0]))[1]
+    return sp.expand(expr / lc)
+
+
+def int_polys(max_degree: int, bound: int):
+    """Polynomials of total degree <= max_degree with integer coefficients
+    in [-bound, bound]."""
+    mono = st.integers(0, max_degree).flatmap(
+        lambda d: st.integers(0, d).flatmap(
+            lambda i: st.integers(0, d - i).map(lambda j: (i, j, d - i - j))
+        )
+    )
+    return st.dictionaries(mono, st.integers(-bound, bound), min_size=1, max_size=5).map(Poly)
+
+
+@st.composite
+def sharing_pairs(draw, max_degree: int, bound: int):
+    """(A*C, B*C) with total degrees at most max_degree."""
+    dc = draw(st.integers(0, max_degree // 2))
+    a = draw(int_polys(max_degree - dc, bound))
+    b = draw(int_polys(max_degree - dc, bound))
+    c = draw(int_polys(dc, bound))
+    return a * c, b * c
 
 
 def test_zero_coefficients_are_dropped():
@@ -198,7 +236,7 @@ def test_gcd_pins():
     assert gcd_many([X * Y * Z, X * Y, X * Z]) == X
 
 
-@given(tiny_polys, tiny_polys, tiny_polys)
+@given(polys, polys, polys)
 @settings(max_examples=25, deadline=None)
 def test_gcd_divides_both(a, b, c):
     g = gcd(a * c, b * c)
@@ -209,6 +247,55 @@ def test_gcd_divides_both(a, b, c):
         # the common factor c must divide the gcd
         if not c.is_zero():
             assert divides(c.monic(), g)
+
+
+@given(sharing_pairs(8, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_gcd_matches_sympy(pair):
+    f, g = pair
+    assert to_sympy(gcd(f, g)) == sympy_monic_grlex(sp.gcd(to_sympy(f), to_sympy(g)))
+
+
+# the fallback runs rarely and its content gcds are slow on some coprime
+# pairs of degree 5 and above, so it is compared at degree <= 4
+@given(sharing_pairs(4, 2**32))
+@settings(max_examples=40, deadline=None)
+def test_prs_fallback_matches_sympy(pair):
+    f, g = pair
+    ours = _gcd_prs(f, g).monic()
+    assert to_sympy(ours) == sympy_monic_grlex(sp.gcd(to_sympy(f), to_sympy(g)))
+
+
+def test_prs_fallback_pins():
+    assert _gcd_prs(X**2 - Y**2, (X + Y) ** 2).monic() == X + Y
+    assert _gcd_prs(6 * X + 4, 9 * X + 6).monic() == X + Fraction(2, 3)
+    # rational contents at every level of the recursion
+    p = (X * Y / 2 + Z / 3) * (Y**2 / 5 - 7 * Z)
+    assert _gcd_prs(p * (X + 1), p * (X - Y)).monic() == p.monic()
+
+
+def test_gcd_hands_over_to_the_prs(monkeypatch):
+    monkeypatch.setattr(poly, "_HEU_TRIES", 0)
+    assert gcd(X**2 - Y**2, (X + Y) ** 2) == X + Y
+    assert gcd(2 * X * Z + 2 * Y * Z, 4 * X + 4 * Y) == X + Y
+    assert gcd(X * Y, Z) == 1
+
+
+def test_squarefree_parts_that_stalled_the_prs():
+    # a pseudo-remainder sequence that took no rational contents grew
+    # denominators past hundreds of digits on these products
+    for f1, f2, f3 in (
+        (X**2 * Y + Z - 3, X * Y + Z, X + 1),
+        (X * Y - 3 * Z, -2 * Y**2 - 3 * Y * Z + 2 * X + 1, X + Y + 2),
+        (X**2 + Y**2 + Z**2 - 1, X + Y + Z, X * Y * Z - 1),
+    ):
+        p = f1 * f2 * f3
+        assert squarefree_decomposition(p) == (p.leading_coefficient(), (SquareFreePart(p.monic(), 1),))
+        q = f1 * f2 * f3**2
+        assert squarefree_decomposition(q) == (
+            q.leading_coefficient(),
+            (SquareFreePart((f1 * f2).monic(), 1), SquareFreePart(f3.monic(), 2)),
+        )
 
 
 def test_squarefree_decomposition_pin():
