@@ -327,24 +327,33 @@ def exact_quotient(p: Poly, q: Poly) -> Union[Poly, None]:
     if p.is_zero():
         return Poly.zero()
     qlm = q.leading_monomial()
-    qlc = q.leading_coefficient()
-    qterms = list(q.items())
+    qlc = q._terms[qlm]
+    qterms = [(m, c) for m, c in q._terms.items() if m != qlm]
+    rem = dict(p._terms)
+    # max-heap of the remainder's monomials in graded-lex order; each step
+    # only adds monomials below the one it removes, so none comes back
+    heap = [(-m[0] - m[1] - m[2], -m[0], -m[1], -m[2]) for m in rem]
+    heapq.heapify(heap)
     quot: dict[Monomial, Fraction] = {}
-    rem = {m: c for m, c in p.items()}
-    while rem:
-        m = max(rem, key=grlex_key)
+    while heap:
+        _, i, j, k = heapq.heappop(heap)
+        m = (-i, -j, -k)
+        c = rem.pop(m)
+        if not c:
+            continue
         d = (m[0] - qlm[0], m[1] - qlm[1], m[2] - qlm[2])
         if d[0] < 0 or d[1] < 0 or d[2] < 0:
             return None
-        coeff = rem[m] / qlc
+        coeff = c / qlc
         quot[d] = coeff
         for qm, qc in qterms:
             key = (d[0] + qm[0], d[1] + qm[1], d[2] + qm[2])
-            nv = rem.get(key, _ZERO) - coeff * qc
-            if nv:
-                rem[key] = nv
+            old = rem.get(key)
+            if old is None:
+                heapq.heappush(heap, (-key[0] - key[1] - key[2], -key[0], -key[1], -key[2]))
+                rem[key] = -coeff * qc
             else:
-                rem.pop(key, None)
+                rem[key] = old - coeff * qc
     return Poly._make(quot)
 
 
@@ -369,78 +378,41 @@ def divides(q: Poly, p: Poly) -> bool:
 # "On Euclid's algorithm and the computation of polynomial greatest common
 # divisors", JACM 18, 1971) answers instead.
 
-ZPoly = dict[Monomial, int]
-
 _HEU_TRIES = 6
 # bit length of xi times the degree in the evaluated variable: a bound on
 # the size of the integers an evaluation makes
 _HEU_MAX_BITS = 16000
 
 
-def _primitive_integer(p: Poly) -> ZPoly:
-    return {m: c.numerator for m, c in clear_denominators(p._terms, grlex_key).items()}
-
-
-def _zcontent(a: ZPoly) -> int:
+def _integer_content(p: Poly) -> int:
+    # p has integer coefficients
     c = 0
-    for v in a.values():
-        c = igcd(c, v)
+    for v in p._terms.values():
+        c = igcd(c, v.numerator)
         if c == 1:
             break
     return c
 
 
-def _zquo(a: ZPoly, b: ZPoly) -> Union[ZPoly, None]:
-    """Quotient a/b when b divides a over Z, else None."""
-    blm = max(b, key=grlex_key)
-    blc = b[blm]
-    bterms = [(m, c) for m, c in b.items() if m != blm]
-    rem = dict(a)
-    # max-heap of remainder monomials in graded-lex order; the leading
-    # monomial only falls, so a popped monomial never comes back
-    heap = [(-m[0] - m[1] - m[2], -m[0], -m[1], -m[2]) for m in rem]
-    heapq.heapify(heap)
-    quot: ZPoly = {}
-    while heap:
-        m = tuple(-e for e in heapq.heappop(heap)[1:])
-        c = rem.pop(m, 0)
-        if not c:
-            continue
-        d = (m[0] - blm[0], m[1] - blm[1], m[2] - blm[2])
-        if d[0] < 0 or d[1] < 0 or d[2] < 0:
-            return None
-        q, r = divmod(c, blc)
-        if r:
-            return None
-        quot[d] = q
-        for bm, bc in bterms:
-            key = (d[0] + bm[0], d[1] + bm[1], d[2] + bm[2])
-            old = rem.get(key)
-            if old is None:
-                heapq.heappush(heap, (-key[0] - key[1] - key[2], -key[0], -key[1], -key[2]))
-                rem[key] = -q * bc
-            else:
-                rem[key] = old - q * bc
-    return quot
-
-
-def _zeval(a: ZPoly, vi: int, xi: int) -> ZPoly:
+def _evaluate_at(p: Poly, vi: int, xi: int) -> Poly:
+    # p, with integer coefficients, at variable vi = xi
     powers = [1]
-    for _ in range(max(m[vi] for m in a)):
+    for _ in range(max(m[vi] for m in p._terms)):
         powers.append(powers[-1] * xi)
-    out: ZPoly = {}
-    for m, c in a.items():
+    out: dict[Monomial, int] = {}
+    for m, c in p._terms.items():
         key = m[:vi] + (0,) + m[vi + 1:]
-        out[key] = out.get(key, 0) + c * powers[m[vi]]
-    return {m: c for m, c in out.items() if c}
+        out[key] = out.get(key, 0) + c.numerator * powers[m[vi]]
+    return Poly._make({m: Fraction(c) for m, c in out.items() if c})
 
 
-def _zinterp(g: ZPoly, vi: int, xi: int) -> ZPoly:
-    # balanced base-xi digits of each coefficient become the coefficients
-    # of the powers of variable vi
+def _interpolate(g: Poly, vi: int, xi: int) -> Poly:
+    # balanced base-xi digits of each integer coefficient of g become the
+    # coefficients of the powers of variable vi
     half = xi // 2
-    out: ZPoly = {}
-    for m, c in g.items():
+    out: dict[Monomial, Fraction] = {}
+    for m, c in g._terms.items():
+        c = c.numerator
         e = 0
         while c:
             d = c % xi
@@ -449,38 +421,46 @@ def _zinterp(g: ZPoly, vi: int, xi: int) -> ZPoly:
             if d:
                 key = list(m)
                 key[vi] = e
-                out[tuple(key)] = d
+                out[tuple(key)] = Fraction(d)
             c = (c - d) // xi
             e += 1
-    return out
+    return Poly._make(out)
 
 
-def _gcd_heu(a: ZPoly, b: ZPoly) -> Union[ZPoly, None]:
-    """gcd over Z of nonzero a and b, or None when the heuristic gives up."""
-    ca, cb = _zcontent(a), _zcontent(b)
+def _primitive_integer(p: Poly) -> Poly:
+    return Poly._make(clear_denominators(p._terms, grlex_key))
+
+
+def _gcd_heu(a: Poly, b: Poly) -> Union[Poly, None]:
+    """gcd over Z of nonzero a and b with integer coefficients, or None
+    when the heuristic gives up."""
+    ca, cb = _integer_content(a), _integer_content(b)
     c = igcd(ca, cb)
-    if len(a) == 1 and _ORIGIN_MONO in a or len(b) == 1 and _ORIGIN_MONO in b:
-        return {_ORIGIN_MONO: c}
+    if a.is_constant() or b.is_constant():
+        return Poly.constant(c)
     if ca != 1:
-        a = {m: v // ca for m, v in a.items()}
+        a = a / ca
     if cb != 1:
-        b = {m: v // cb for m, v in b.items()}
-    vi = max(i for i in range(3) if any(m[i] for m in a) or any(m[i] for m in b))
-    deg = max(max(m[vi] for m in a), max(m[vi] for m in b))
-    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
+        b = b / cb
+    vi = max(set(a.variables()) | set(b.variables()))
+    deg = max(a.degree_in(vi), b.degree_in(vi))
+    norm = min(max(map(abs, a._terms.values())), max(map(abs, b._terms.values())))
+    xi = 2 * int(norm) + 2
     for _ in range(_HEU_TRIES):
         if xi.bit_length() * deg > _HEU_MAX_BITS:
             return None
-        ea, eb = _zeval(a, vi, xi), _zeval(b, vi, xi)
+        ea, eb = _evaluate_at(a, vi, xi), _evaluate_at(b, vi, xi)
         g = _gcd_heu(ea, eb) if ea and eb else ea or eb
         if g is None:
             return None
-        h = _zinterp(g, vi, xi)
-        ch = _zcontent(h)
+        h = _interpolate(g, vi, xi)
+        ch = _integer_content(h)
         if ch != 1:
-            h = {m: v // ch for m, v in h.items()}
-        if _zquo(a, h) is not None and _zquo(b, h) is not None:
-            return {m: v * c for m, v in h.items()} if c != 1 else h
+            h = h / ch
+        # h is primitive, so by Gauss's lemma it divides over Z exactly
+        # when it divides over Q
+        if exact_quotient(a, h) is not None and exact_quotient(b, h) is not None:
+            return h * c
         # the growth factor of Char, Geddes & Gonnet
         xi = xi * 73794 // 27011
     return None
@@ -514,9 +494,10 @@ def _first_variable(p: Poly, q: Poly) -> Union[int, None]:
 
 
 def _content_primitive(p: Poly, vi: int) -> tuple[Poly, Poly]:
-    """Content in the later variables, up to a rational unit, and the
-    primitive part in variable vi, cleared to coprime integer coefficients.
-    With constant coefficients the content is their rational content."""
+    """Content in the later variables, fixed only up to a rational unit,
+    and the primitive part in variable vi, cleared to coprime integer
+    coefficients. With constant coefficients the content is just the
+    first of them."""
     coeffs = _as_univariate(p, vi)
     content = Poly.zero()
     for d in sorted(coeffs):
@@ -590,8 +571,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
     g = _gcd_heu(_primitive_integer(p), _primitive_integer(q))
     if g is None:
         return _gcd_prs(p, q).monic()
-    lc = g[max(g, key=grlex_key)]
-    return Poly._make({m: Fraction(c, lc) for m, c in g.items()})
+    return g.monic()
 
 
 def gcd_many(polys: Iterable[Poly]) -> Poly:

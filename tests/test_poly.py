@@ -215,6 +215,10 @@ def test_exact_quotient_pins():
         exact_quotient(X, Poly.zero())
     assert divides(X + Y, (X + Y) * (Z - 2))
     assert not divides(X + Y, X * Y)
+    # remainder terms that cancel on the way, and a rejection after a step
+    assert exact_quotient(X**3 - Y**3, X - Y) == X**2 + X * Y + Y**2
+    assert exact_quotient((X + Y) ** 3 + Z, X + Y) is None
+    assert exact_quotient(X**2 * Y - Y / 9, 3 * X + 1) == (X - Fraction(1, 3)) * Y / 3
 
 
 @given(polys, polys)
@@ -224,6 +228,21 @@ def test_exact_quotient_inverts_multiplication(a, b):
         return
     q = exact_quotient(a * b, b)
     assert q == a
+
+
+@given(polys, polys, polys)
+@settings(max_examples=40, deadline=None)
+def test_exact_quotient_matches_sympy(a, b, e):
+    # one polynomial is a Groebner basis of its ideal, so b divides p
+    # exactly when the remainder of p on division by b is zero
+    if b.is_zero():
+        return
+    p = a * b + e
+    q = exact_quotient(p, b)
+    _, r = sp.div(to_sympy(p), to_sympy(b), SX, SY, SZ)
+    assert (q is not None) == (sp.expand(r) == 0)
+    if q is not None:
+        assert q * b == p
 
 
 def test_gcd_pins():
