@@ -240,11 +240,14 @@ def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], l
     while len(ints) > 1 and not ints[0]:
         roots.append(Fraction(0))
         ints = ints[1:]
-    if len(ints) > 1:
+    if len(ints) == 2:
+        roots.append(-ints[0] / ints[1])
+        ints = ints[1:]
+    elif len(ints) > 2:
         a0 = abs(int(ints[0]))
-        an = abs(int(ints[-1]))
+        dens = _divisors(abs(int(ints[-1])))
         candidates = sorted(
-            {s * Fraction(p, q) for p in _divisors(a0) for q in _divisors(an) for s in (1, -1)}
+            {s * Fraction(p, q) for p in _divisors(a0) for q in dens for s in (1, -1)}
         )
         for r in candidates:
             while len(ints) > 1:

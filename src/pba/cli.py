@@ -20,7 +20,7 @@ from .lifting import PointSearchError, cm_certificate, verify_certificate
 from .parser import ParseError, parse
 from .poly import Poly
 from .serialize import dumps, report_payload
-from .spectrum import NotCoprimeError, PencilParameter, PointKind, spectrum_report
+from .spectrum import PencilParameter, PointKind, spectrum_report
 from .triples import PolyVec, jacobi_witness, bracket as bracket_op
 
 
@@ -86,10 +86,7 @@ def _cmd_spectrum(args) -> int:
     params = _parse_params(args.params)
     try:
         report = spectrum_report(s, t, params, args.max_deg)
-    except NotCoprimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # NotCoprimeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

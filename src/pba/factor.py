@@ -13,6 +13,11 @@ absolute irreducibility exactly: a unit ansatz ideal at every degree
 means no factor exists over any field extension, while a proper ideal
 with no rational point (e.g. x^2 - 2) leaves the factor irreducible over
 Q but not certified absolutely irreducible.
+
+Certification happens in one place, _factor_squarefree, from the flag
+that _ansatz_search returns: a part left whole is certified when no
+degree searched for it met a proper ideal, and a factor split off is
+certified by running the same search on that factor alone.
 """
 
 from __future__ import annotations
@@ -102,7 +107,7 @@ def _ansatz_search(q: Poly, d: int) -> tuple[Poly | None, bool]:
         basis = _engine.buchberger(system, _engine.lex_key)
         if _engine.is_unit(basis, _engine.lex_key):
             continue
-        points, _, _ = _engine.solve_rational(system, len(unknowns))
+        points, _, _ = _engine.solve_rational(basis, len(unknowns))
         if points:
             sol = points[0]
             terms = {m: _ONE}
@@ -112,35 +117,6 @@ def _ansatz_search(q: Poly, d: int) -> tuple[Poly | None, bool]:
             return Poly(terms), proper_seen
         proper_seen = True
     return None, proper_seen
-
-
-def _certify_absolutely_irreducible(u: Poly, bound: int) -> bool:
-    """True iff u provably has no factor over any field extension: the
-    ansatz ideal is the unit ideal at every degree up to floor(deg/2)."""
-    deg = u.total_degree()
-    if deg <= 1:
-        return True
-    if bound < deg // 2:
-        return False
-    for d in range(1, deg // 2 + 1):
-        _, proper = _ansatz_search_unit_only(u, d)
-        if proper:
-            return False
-    return True
-
-
-def _ansatz_search_unit_only(q: Poly, d: int) -> tuple[None, bool]:
-    qlm = q.leading_monomial()
-    candidates = [m for m in _monomials_upto(d) if sum(m) == d and _engine.mono_divides(m, qlm)]
-    for m in sorted(candidates, key=grlex_key, reverse=True):
-        unknowns = [mm for mm in _monomials_upto(d) if grlex_key(mm) < grlex_key(m)]
-        system = _division_system(q, m, unknowns)
-        if not system:
-            return None, True
-        basis = _engine.buchberger(system, _engine.lex_key)
-        if not _engine.is_unit(basis, _engine.lex_key):
-            return None, True
-    return None, False
 
 
 def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
@@ -156,7 +132,9 @@ def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bo
         if u is not None:
             cof = exact_quotient(q, u)
             assert cof is not None
-            head = [(u, _certify_absolutely_irreducible(u, bound))]
+            # u is irreducible over Q and deg(u) <= bound, so this search
+            # finds no factor and its flag is u's certificate
+            head, _ = _factor_squarefree(u, bound)
             tail, complete = _factor_squarefree(cof.monic(), bound)
             return head + tail, complete
     if bound >= (deg + 1) // 2:

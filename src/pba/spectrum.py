@@ -9,6 +9,12 @@ factors of lambda*s - mu*t. A factor is Poisson primitive exactly when
 its multiplicity in the pencil member is one. spectrum_report bundles the
 three strata; the pencil is sampled at user-supplied parameters since the
 full projective family cannot be listed.
+
+Validation happens once per call. Each public entry that needs the bracket
+builds qm_exact_triple(s, t) first, which rejects a zero or non-coprime
+pair (triples.require_coprime) and checks Jacobi; the private helpers take
+that verified triple and check nothing again. classify_point, which needs
+no bracket, runs require_coprime alone.
 """
 
 from __future__ import annotations
@@ -20,13 +26,14 @@ from typing import Sequence
 
 from .factor import factor_bounded
 from .groebner import GroebnerBasis, buchberger, dimension, is_unit_ideal, rational_points
-from .poly import Point, Poly, ScalarLike, gcd
+from .poly import Point, Poly, ScalarLike
 from .triples import (
     NotCoprimeError,
     PoissonTriple,
     ensure_verified,
     generates_poisson_ideal,
     qm_exact_triple,
+    require_coprime,
 )
 
 
@@ -132,14 +139,6 @@ class PoissonCore:
     principal: bool
 
 
-def _check_pencil(s: Poly, t: Poly) -> None:
-    if s.is_zero() or t.is_zero():
-        raise ValueError("s and t must be nonzero")
-    g = gcd(s, t)
-    if g.total_degree() > 0:
-        raise NotCoprimeError(g)
-
-
 def _as_point(p: Sequence[ScalarLike]) -> Point:
     a, b, c = (Fraction(v) for v in p)
     return (a, b, c)
@@ -156,12 +155,14 @@ def pencil_member(s: Poly, t: Poly, param: PencilParameter) -> Poly:
     return s * param.lam - t * param.mu
 
 
-def classify_point(s: Poly, t: Poly, p: Sequence[ScalarLike]) -> PointClass:
-    """Sort a rational point per the maximal-ideal criterion: common zero
-    of s and t, else singular point of the member at (t(p) : s(p)), else
-    not Poisson."""
-    _check_pencil(s, t)
-    point = _as_point(p)
+def _nonunit_member(s: Poly, t: Poly, param: PencilParameter) -> Poly:
+    member = pencil_member(s, t, param)
+    if member.is_constant():
+        raise ValueError(f"pencil member at ({param}) must be a nonzero nonunit")
+    return member
+
+
+def _classify(s: Poly, t: Poly, point: Point) -> PointClass:
     sv = s.evaluate(point)
     tv = t.evaluate(point)
     if not sv and not tv:
@@ -176,25 +177,32 @@ def classify_point(s: Poly, t: Poly, p: Sequence[ScalarLike]) -> PointClass:
     return PointClass(point, PointKind.NOT_POISSON)
 
 
-def poisson_maximal_locus(s: Poly, t: Poly) -> ResiduallyNullStratum:
-    """Residually null stratum of qm_exact(s, t): basis and dimension of
-    I = <f, g, h>, with the maximal locus enumerated when it is finite."""
-    _check_pencil(s, t)
-    F = qm_exact_triple(s, t)
+def classify_point(s: Poly, t: Poly, p: Sequence[ScalarLike]) -> PointClass:
+    """Sort a rational point per the maximal-ideal criterion: common zero
+    of s and t, else singular point of the member at (t(p) : s(p)), else
+    not Poisson."""
+    require_coprime(s, t)
+    return _classify(s, t, _as_point(p))
+
+
+def _locus(s: Poly, t: Poly, F: PoissonTriple) -> ResiduallyNullStratum:
     G = residually_null_ideal(F)
     dim = dimension(G)
     if dim != 0:
         return ResiduallyNullStratum(G, dim, (), (), points_complete=dim == -1)
     found = rational_points(G)
-    classified = tuple(classify_point(s, t, p) for p in found.points)
+    classified = tuple(_classify(s, t, p) for p in found.points)
     return ResiduallyNullStratum(G, dim, classified, found.eliminants, found.complete)
 
 
+def poisson_maximal_locus(s: Poly, t: Poly) -> ResiduallyNullStratum:
+    """Residually null stratum of qm_exact(s, t): basis and dimension of
+    I = <f, g, h>, with the maximal locus enumerated when it is finite."""
+    return _locus(s, t, qm_exact_triple(s, t))
+
+
 def _height_one(s: Poly, t: Poly, F: PoissonTriple, param: PencilParameter, max_deg: int):
-    member = pencil_member(s, t, param)
-    if member.is_zero() or member.is_constant():
-        raise ValueError(f"pencil member at ({param}) must be a nonzero nonunit")
-    factored = factor_bounded(member, max_deg)
+    factored = factor_bounded(_nonunit_member(s, t, param), max_deg)
     primes = []
     for part in factored.parts:
         assert generates_poisson_ideal(F, part.factor)
@@ -214,9 +222,7 @@ def height_one_primes(
 ) -> tuple[HeightOnePrime, ...]:
     """Principal Poisson primes over one pencil member: its irreducible
     factors within the degree bound, with multiplicities and flags."""
-    _check_pencil(s, t)
-    F = qm_exact_triple(s, t)
-    primes, _ = _height_one(s, t, F, param, max_deg)
+    primes, _ = _height_one(s, t, qm_exact_triple(s, t), param, max_deg)
     return primes
 
 
@@ -251,12 +257,9 @@ def is_poisson_simple_quotient(
     Requires a finite Poisson maximal locus and a member certified
     irreducible within the bound.
     """
-    _check_pencil(s, t)
-    member = pencil_member(s, t, param)
-    if member.is_zero() or member.is_constant():
-        raise ValueError(f"pencil member at ({param}) must be a nonzero nonunit")
-    stratum_dim = dimension(residually_null_ideal(qm_exact_triple(s, t)))
-    if stratum_dim > 0:
+    F = qm_exact_triple(s, t)
+    member = _nonunit_member(s, t, param)
+    if dimension(residually_null_ideal(F)) > 0:
         raise ValueError("simplicity criterion needs finitely many Poisson maximal ideals")
     factored = factor_bounded(member, max_deg)
     if not (factored.complete and len(factored.parts) == 1 and factored.parts[0].multiplicity == 1):
@@ -271,9 +274,8 @@ def spectrum_report(
     s: Poly, t: Poly, params: Sequence[PencilParameter], max_deg: int
 ) -> SpectrumReport:
     """Assemble the full classification at the sampled parameters."""
-    _check_pencil(s, t)
     F = qm_exact_triple(s, t)
-    stratum = poisson_maximal_locus(s, t)
+    stratum = _locus(s, t, F)
     height_one: dict[PencilParameter, tuple[HeightOnePrime, ...]] = {}
     complete = True
     for param in params:

@@ -180,17 +180,24 @@ def m_exact_triple(b: Poly, a: Poly) -> PoissonTriple:
     return PoissonTriple(vec, verified=True)
 
 
-def qm_exact_triple(s: Poly, t: Poly) -> PoissonTriple:
-    """Quasi-multiple-exact bracket from coprime s, t: components
-    t*grad(s) - s*grad(t); formally t^2 * grad(s/t).
-
-    Swapping the arguments negates the triple. t = 1 recovers grad(s).
-    """
+def require_coprime(s: Poly, t: Poly) -> None:
+    """The pencil check: ValueError unless s and t are both nonzero,
+    NotCoprimeError unless they share no non-constant factor."""
     if s.is_zero() or t.is_zero():
         raise ValueError("s and t must be nonzero")
     common = gcd(s, t)
     if not common.is_constant():
         raise NotCoprimeError(common)
+
+
+def qm_exact_triple(s: Poly, t: Poly) -> PoissonTriple:
+    """Quasi-multiple-exact bracket from coprime s, t: components
+    t*grad(s) - s*grad(t); formally t^2 * grad(s/t).
+
+    Swapping the arguments negates the triple. t = 1 recovers grad(s).
+    Raises as require_coprime does; the result is Jacobi-verified.
+    """
+    require_coprime(s, t)
     vec = grad(s).scale(t) - grad(t).scale(s)
     assert is_poisson_triple(vec)
     return PoissonTriple(vec, verified=True)

@@ -3,8 +3,13 @@
 import contextlib
 import io
 import json
+from pathlib import Path
+
+import pytest
 
 from pba.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -118,6 +123,37 @@ def test_spectrum_json_round_trip():
     data = json.loads(out)
     assert data["schema"] == "pba/1"
     assert json.dumps(data, indent=2, sort_keys=True) + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        # the README example
+        ("spectrum_sl2.json", ("--s", "1/2*z^2 - 2*x*y", "--params", "1:0,1:1,1:-2")),
+        # t != 1, two rational points, a fractional parameter
+        (
+            "spectrum_equitable_pencil.json",
+            ("--s", "2*x + 2*y + 2*z - 2*x*y*z", "--t", "x + y + z - x*y*z + 1",
+             "--params", "1:0,0:1,3:4,1:4"),
+        ),
+    ],
+)
+def test_spectrum_json_golden(golden, argv):
+    code, out, err = run_cli("spectrum", *argv, "--json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_spectrum_large_linear_eliminant():
+    # every eliminant is linear; trial division over the divisors of
+    # N = 10^20 would take about 10^10 steps
+    n = 10**20
+    code, out, _ = run_cli(
+        "spectrum", "--s", f"x^2 - {2 * n}*x + {n * n} + y^2 + z^2", "--params", "1:0", "--json"
+    )
+    assert code == 0
+    points = json.loads(out)["residually_null"]["points"]
+    assert [p["point"] for p in points] == [[str(n), "0", "0"]]
 
 
 def test_lift_certificate():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pba.factor import FactorPart, Factorization, factor_bounded
+from pba.parser import parse
 from pba.poly import Poly, X, Y, Z, divides
 
 SX, SY, SZ = sp.symbols("x y z")
@@ -96,6 +97,27 @@ def test_mixed_structure():
         ("z", 1),
     }
     assert rebuild(r) == p
+
+
+@pytest.mark.parametrize(
+    "text, parts",
+    [
+        # x^2 - 2*y^2 splits over Q(sqrt 2), so only its cofactor is certified
+        ("(x^2 - 2*y^2)*(x^2 + y^2 + z^2 + 1)",
+         [("x^2 - 2*y^2", False), ("x^2 + y^2 + z^2 + 1", True)]),
+        ("(x*y - z^2)*(x^2 - 2)", [("x^2 - 2", False), ("x*y - z^2", True)]),
+        ("(x^2 + y^2 + z^2 + 1)*(x*y - z^2)",
+         [("x^2 + y^2 + z^2 + 1", True), ("x*y - z^2", True)]),
+        ("(x*y - z^2)*(x^2 - 2)*(y + z + 1)",
+         [("y + z + 1", True), ("x^2 - 2", False), ("x*y - z^2", True)]),
+    ],
+)
+@pytest.mark.parametrize("bound", [2, 3, 4])
+def test_quadratic_head_factor_flags(text, parts, bound):
+    r = factor_bounded(parse(text), bound)
+    assert r.complete
+    assert [(str(p.factor), p.absolutely_irreducible_certified) for p in r.parts] == parts
+    assert all(p.multiplicity == 1 for p in r.parts)
 
 
 def test_bad_inputs():

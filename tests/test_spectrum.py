@@ -1,9 +1,11 @@
 """Tests for the Poisson ideal classification layer."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
+from pba import poly, triples
 from pba.groebner import dimension, ideal_member
 from pba.parser import parse
 from pba.poly import Poly, X, Y, Z
@@ -194,3 +196,30 @@ def test_spectrum_report_infinite_locus_flag():
     report = spectrum_report(X, Y, [P(1, 0)], 3)
     assert not report.flags.finitely_many_poisson_maximal
     assert report.residually_null.dimension == 1
+
+
+def _count_calls(monkeypatch, fn, counted):
+    """Wrap fn wherever a pba module binds it; the returned list gathers
+    the argument tuples of the calls that `counted` accepts."""
+    calls = []
+
+    def wrapper(*args):
+        if counted(*args):
+            calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "pba" or name.startswith("pba."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+def test_spectrum_report_validates_the_pencil_once(monkeypatch):
+    s, t = parse("2*x + 2*y + 2*z - 2*x*y*z"), parse("x + y + z - x*y*z + 1")
+    coprime = _count_calls(monkeypatch, poly.gcd, lambda a, b: (a, b) == (s, t))
+    jacobi = _count_calls(monkeypatch, triples.jacobi_witness, lambda F: True)
+    report = spectrum_report(s, t, [P(1, 0), P(0, 1), P(3, 4), P(1, 4)], 3)
+    assert len(report.residually_null.points) == 2
+    assert (len(coprime), len(jacobi)) == (1, 1)
