@@ -243,7 +243,15 @@ def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], l
     if len(ints) == 2:
         roots.append(-ints[0] / ints[1])
         ints = ints[1:]
-    elif len(ints) > 2:
+    elif len(ints) == 3:
+        # a*v^2 + b*v + c has rational roots iff b^2 - 4ac is a square
+        c, b, a = (int(x) for x in ints)
+        disc = b * b - 4 * a * c
+        r = isqrt(disc) if disc >= 0 else -1
+        if r * r == disc:
+            roots += [Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a)]
+            ints = ints[2:]
+    elif len(ints) > 3:
         a0 = abs(int(ints[0]))
         dens = _divisors(abs(int(ints[-1])))
         candidates = sorted(

@@ -21,7 +21,7 @@ from .parser import ParseError, parse
 from .poly import Poly
 from .serialize import dumps, report_payload
 from .spectrum import PencilParameter, PointKind, spectrum_report
-from .triples import PolyVec, jacobi_witness, bracket as bracket_op
+from .triples import NotPoissonError, PolyVec, jacobi_witness, verify_triple, bracket as bracket_op
 
 
 def _parse_or_exit(text: str, what: str) -> Poly:
@@ -125,13 +125,13 @@ def _cmd_lift(args) -> int:
     if args.search_box < 0:
         print("error: --search-box must be non-negative", file=sys.stderr)
         return 2
-    vec = _triple(args)
-    witness = jacobi_witness(vec)
-    if not witness.is_zero():
-        print(f"not Poisson: dot(F, curl F) = {witness}")
+    try:
+        T = verify_triple(_triple(args))
+    except NotPoissonError as exc:
+        print(f"not Poisson: dot(F, curl F) = {exc.witness}")
         return 1
     try:
-        cert = cm_certificate(vec, args.weight, args.search_box)
+        cert = cm_certificate(T, args.weight, args.search_box)
     except PointSearchError as exc:
         print(f"no certificate: {exc}")
         return 1
@@ -144,7 +144,7 @@ def _cmd_lift(args) -> int:
         "d[{},{},{}]={}".format(*mono, value) for mono, value in cert.lift.conventions
     )
     print(f"conventions: {conv}")
-    ok = verify_certificate(cert, vec)
+    ok = verify_certificate(cert, T)
     print(f"congruence through degree {cert.lift.weight}: {'verified' if ok else 'FAILED'}")
     return 0 if ok else 1
 

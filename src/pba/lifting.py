@@ -12,6 +12,21 @@ output deterministic; they are recorded on the result. Triples vanishing
 at every candidate point first get moved: cm_certificate cycles the
 variables so two nonzero components occupy the f and g slots, hunts a
 base point with f*g != 0, translates there, and lifts.
+
+At weight w the equations give b's coefficients of weight w and d's of
+weight w+1. Each coefficient equation holds a sum of products of one b
+and one d coefficient. Apart from the term that holds the unknown, every
+product but one pairs a finished weight of b with a finished weight of
+d. lift_at_origin keeps each finished weight as integer numerators over
+one denominator, the lcm of that weight's denominators. It rescales them
+so that all the finished products at weight w lie over one denominator,
+sums each coefficient's products as Python ints, and makes one Fraction
+of the sum. The remaining product stays in Fraction: the d of weight w+1
+against b_000 in the x-equation, and the b of weight w against d_010 or
+d_001 in the y- and z-equations. TruncatedSeries products bring each operand to integer
+numerators over its own common denominator, convolve the ints and divide
+once per output coefficient. verify_lift checks a lift with that generic
+product only, so the check shares no code with the lift kernel.
 """
 
 from __future__ import annotations
@@ -19,6 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
+from operator import mul
 from typing import Iterator, Mapping, Union
 
 from .poly import Monomial, Poly, ScalarLike
@@ -44,21 +61,8 @@ class TruncatedSeries:
     __slots__ = ("_terms", "_cap")
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike], cap: int):
-        if cap < 0:
-            raise ValueError("cap must be non-negative")
-        data: dict[Monomial, Fraction] = {}
-        for mono, c in terms.items():
-            m = tuple(mono)
-            if len(m) != 3 or any(e < 0 or not isinstance(e, int) for e in m):
-                raise ValueError(f"bad monomial {mono!r}")
-            if sum(m) > cap:
-                continue
-            v = data.get(m, _ZERO) + Fraction(c)
-            if v:
-                data[m] = v
-            else:
-                data.pop(m, None)
-        self._terms = data
+        s = truncate(Poly(terms), cap)
+        self._terms = s._terms
         self._cap = cap
 
     @classmethod
@@ -114,20 +118,19 @@ class TruncatedSeries:
             return NotImplemented
         self._check_cap(other)
         cap = self._cap
-        data: dict[Monomial, Fraction] = {}
-        for (a0, a1, a2), ca in self._terms.items():
-            if a0 + a1 + a2 > cap:
-                continue
-            for (b0, b1, b2), cb in other._terms.items():
+        da, left = _over_common_denominator(self._terms)
+        db, right = _over_common_denominator(other._terms)
+        right.sort()
+        acc: dict[Monomial, int] = {}
+        for ea, (a0, a1, a2), na in left:
+            room = cap - ea
+            for eb, (b0, b1, b2), nb in right:
+                if eb > room:
+                    break
                 m = (a0 + b0, a1 + b1, a2 + b2)
-                if sum(m) > cap:
-                    continue
-                v = data.get(m, _ZERO) + ca * cb
-                if v:
-                    data[m] = v
-                else:
-                    data.pop(m, None)
-        return TruncatedSeries._make(data, cap)
+                acc[m] = acc.get(m, 0) + na * nb
+        den = da * db
+        return TruncatedSeries._make({m: Fraction(n, den) for m, n in acc.items() if n}, cap)
 
     def derivative(self, var: Union[str, int]) -> "TruncatedSeries":
         """Partial derivative; the cap drops by one because the top slice
@@ -149,6 +152,13 @@ class TruncatedSeries:
 
     def __repr__(self) -> str:
         return f"TruncatedSeries({str(self.to_poly())!r}, cap={self._cap})"
+
+
+def _over_common_denominator(terms: Mapping[Monomial, Fraction]) -> tuple[int, list[tuple[int, Monomial, int]]]:
+    """The lcm den of the denominators, and (degree, monomial, c * den)
+    for each term c."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(sum(m), m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
 
 
 def truncate(p: Poly, cap: int) -> TruncatedSeries:
@@ -183,6 +193,20 @@ class CmCertificate:
     lift: LiftResult
 
 
+def _integer_slice(coeffs: Mapping[Monomial, Fraction], u: int) -> tuple[list[Monomial], list[int], int]:
+    """The monomials of total degree u, their coefficients as integer
+    numerators, and the lcm of the denominators. A monomial of the weight
+    that is missing from coeffs raises KeyError."""
+    mons = [(u - a, a - k, k) for a in range(u + 1) for k in range(a + 1)]
+    vals = [coeffs[m] for m in mons]
+    den = lcm(*(c.denominator for c in vals))
+    return mons, [c.numerator * (den // c.denominator) for c in vals], den
+
+
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+
+
 def lift_at_origin(F, weight: int) -> LiftResult:
     """Solve b*d_x = f, b*d_y = g, b*d_z = h coefficientwise through the
     given weight. Requires a verified triple with f(0) != 0 and g(0) != 0."""
@@ -204,51 +228,85 @@ def lift_at_origin(F, weight: int) -> LiftResult:
         (0, 1, 0): g0 / f0,
         (0, 0, 1): hc.get(_ORIGIN, _ZERO) / f0,
     }
+    d010, d001 = d[(0, 1, 0)], d[(0, 0, 1)]
     conventions = [(_ORIGIN, _ZERO), ((1, 0, 0), _ONE)]
+
+    # Finished weights as integers: bw[u] and dw[u] are _integer_slice of
+    # weight u of b and of d.
+    bw = [_integer_slice(b, 0)]
+    dw = [_integer_slice(d, 0), _integer_slice(d, 1)]
 
     for w in range(1, weight + 1):
         d[(w + 1, 0, 0)] = _ZERO
         conventions.append(((w + 1, 0, 0), _ZERO))
+        # Products of two finished weights pair d of weight u in 2..w with
+        # b of weight w+1-u. They are laid out in dense arrays of P^3
+        # slots, sized for this weight so that memory grows with the work
+        # done: dgrad[v] holds e * (numerator of d_ijk) at slot
+        # i + j*P + k*P^2, e being the exponent of variable v, and brefl
+        # holds b_ijk at slot top - (i + j*P + k*P^2), each b weight
+        # rescaled so that all these products lie over the one denominator
+        # den. Other slots hold None, so a product that reads one raises
+        # TypeError instead of reading 0.
+        P = w + 2
+        top = P**3 - 1
+        strides = (1, P, P * P)
+        den = lcm(*(bw[w + 1 - u][2] * dw[u][2] for u in range(2, w + 1)))
+        brefl: list = [None] * P**3
+        dgrad: tuple[list, list, list] = ([None] * P**3, [None] * P**3, [None] * P**3)
+        for u in range(2, w + 1):
+            bmons, bnums, bden = bw[w + 1 - u]
+            dmons, dnums, dden = dw[u]
+            scale = den // (bden * dden)
+            for (i, j, k), n in zip(bmons, bnums):
+                brefl[top - i - j * P - k * P * P] = scale * n
+            for m, n in zip(dmons, dnums):
+                at = m[0] + m[1] * P + m[2] * P * P
+                for v in range(3):
+                    dgrad[v][at] = m[v] * n
+
+        def finished(M: Monomial, v: int) -> Fraction:
+            """Sum of e * b_(M-m) * d_m over the exponents m of d with e,
+            the v-th entry of m, at least 1 and total degree u in 2..w.
+            The slot of b_(M-m) in brefl is that of d_m in dgrad[v] plus
+            off, so the sum runs as strided slices along the longest axis
+            of the box of such m."""
+            lo = _UNIT[v]
+            a = max((0, 1, 2), key=lambda x: M[x] - lo[x])
+            p_ax, q_ax = _OTHER_AXES[a]
+            sa, sp, sq = strides[a], strides[p_ax], strides[q_ax]
+            off = top - M[0] - M[1] * P - M[2] * P * P
+            dv = dgrad[v]
+            total = 0
+            for p in range(lo[p_ax], M[p_ax] + 1):
+                for q in range(lo[q_ax], M[q_ax] + 1):
+                    x0 = max(lo[a], 2 - p - q)
+                    x1 = min(M[a], w - p - q)
+                    if x0 <= x1:
+                        d0 = p * sp + q * sq + x0 * sa
+                        d1 = d0 + (x1 - x0) * sa + 1
+                        total += sum(map(mul, brefl[off + d0:off + d1:sa], dv[d0:d1:sa]))
+            return Fraction(total, den)
+
         for i in range(w, -1, -1):
             rem = w - i
             for j in range(rem, -1, -1):
                 k = rem - j
                 # b_ijk from the x-equation at (i,j,k); its own term has
-                # factor d_100 = 1
-                acc = _ZERO
-                for r in range(1, i + 2):
-                    for s in range(j + 1):
-                        for t in range(k + 1):
-                            if (r, s, t) == (1, 0, 0):
-                                continue
-                            bi = (i - r + 1, j - s, k - t)
-                            assert bi in b and (r, s, t) in d
-                            acc += r * b[bi] * d[(r, s, t)]
+                # factor d_100 = 1, and d_(i+1)jk is the one of weight w+1
+                acc = finished((i + 1, j, k), 0) + (i + 1) * f0 * d[(i + 1, j, k)]
                 b[(i, j, k)] = fc.get((i, j, k), _ZERO) - acc
             j = rem
             # d_i(j+1)0 from the y-equation at (i,j,0); pivot (j+1)*b_000
-            acc = _ZERO
-            for r in range(i + 1):
-                for s in range(1, j + 2):
-                    if (r, s) == (i, j + 1):
-                        continue
-                    bi = (i - r, j - s + 1, 0)
-                    assert bi in b and (r, s, 0) in d
-                    acc += s * b[bi] * d[(r, s, 0)]
+            acc = finished((i, j + 1, 0), 1) + b[(i, j, 0)] * d010
             d[(i, j + 1, 0)] = (gc.get((i, j, 0), _ZERO) - acc) / ((j + 1) * f0)
             for k in range(rem + 1):
                 j = rem - k
                 # d_ij(k+1) from the z-equation at (i,j,k); pivot (k+1)*b_000
-                acc = _ZERO
-                for r in range(i + 1):
-                    for s in range(j + 1):
-                        for t in range(1, k + 2):
-                            if (r, s, t) == (i, j, k + 1):
-                                continue
-                            bi = (i - r, j - s, k - t + 1)
-                            assert bi in b and (r, s, t) in d
-                            acc += t * b[bi] * d[(r, s, t)]
+                acc = finished((i, j, k + 1), 2) + b[(i, j, k)] * d001
                 d[(i, j, k + 1)] = (hc.get((i, j, k), _ZERO) - acc) / ((k + 1) * f0)
+        bw.append(_integer_slice(b, w))
+        dw.append(_integer_slice(d, w + 1))
 
     bs = TruncatedSeries._make({m: c for m, c in b.items() if c}, weight)
     ds = TruncatedSeries._make({m: c for m, c in d.items() if c}, weight + 1)

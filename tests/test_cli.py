@@ -156,6 +156,25 @@ def test_spectrum_large_linear_eliminant():
     assert [p["point"] for p in points] == [[str(n), "0", "0"]]
 
 
+@pytest.mark.parametrize(
+    "n, points",
+    [
+        (10**20 + 1, []),
+        (10**40, [[str(-(10**20)), "0", "0"], [str(10**20), "0", "0"]]),
+    ],
+)
+def test_spectrum_large_quadratic_eliminant(n, points):
+    # the eliminant is x^2 - n; trial division over the divisors of n
+    # would take about 10^10 or 10^20 steps
+    code, out, _ = run_cli(
+        "spectrum", "--s", f"1/3*x^3 - {n}*x + y^2 + z^2", "--params", "1:0", "--json"
+    )
+    assert code == 0
+    stratum = json.loads(out)["residually_null"]
+    assert [p["point"] for p in stratum["points"]] == points
+    assert stratum["eliminants"] == ([] if points else [f"x^2 - {n}"])
+
+
 def test_lift_certificate():
     code, out, _ = run_cli("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "4")
     assert code == 0
@@ -241,3 +260,47 @@ def test_corpus_json_output():
 def test_unknown_command_is_usage_error():
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+
+
+# Triples t*grad(s) - s*grad(t), one per way a certificate is found:
+# f(0) g(0) != 0 lifts at the origin; f = 0 cycles the variables; F(0) = 0
+# moves the base point.
+LIFT_TRIPLES = {
+    "origin": ("-3*x^2*y + 3*x^2 + y - 1", "x^3 - 2*z^2 - x + 1", "4*y^2*z - 4*y*z"),
+    "cycled": ("0", "-27*y^2*z + 9*y^2 + 6*y*z - 2*y", "9*y^3 + 12*z^3 - 3*y^2 - 6*z^2"),
+    "shifted": ("4*x^2 + 4*y*z - 4*x", "-4*x*z + 2*z", "-4*x*y + 2*y"),
+}
+
+
+@pytest.mark.parametrize("weight", [8, 11, 14])
+@pytest.mark.parametrize("family", sorted(LIFT_TRIPLES))
+def test_lift_golden(family, weight):
+    f, g, h = LIFT_TRIPLES[family]
+    code, out, err = run_cli("lift", "--f", f, "--g", g, "--h", h, "--weight", str(weight))
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / f"lift_{family}_w{weight}.txt").read_text(encoding="utf-8")
+
+
+def test_lift_golden_readme():
+    code, out, err = run_cli("lift", "--f", "y", "--g", "-x", "--h", "0", "--weight", "4")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "lift_readme.txt").read_text(encoding="utf-8")
+
+
+def test_lift_checks_jacobi_twice(monkeypatch):
+    import pba.cli
+    import pba.triples
+
+    calls = []
+    real = pba.triples.jacobi_witness
+
+    def counted(F):
+        calls.append(F)
+        return real(F)
+
+    monkeypatch.setattr(pba.triples, "jacobi_witness", counted)
+    monkeypatch.setattr(pba.cli, "jacobi_witness", counted)
+    code, _, _ = run_cli("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "3")
+    assert code == 0
+    # the input, and the triple translated to the base point (-1, -1, -1)
+    assert len(calls) == 2

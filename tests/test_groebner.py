@@ -1,12 +1,14 @@
 """Tests for the Groebner layer, cross-checked against sympy."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pba._engine import _divisors, univariate_rational_roots
 from pba.groebner import (
     GroebnerBasis,
     TermOrder,
@@ -159,3 +161,62 @@ def test_membership_matches_sympy(gens, p):
 def test_certify_passes_for_computed_bases(gens):
     G = buchberger(gens)
     assert certify(G)
+
+
+def trial_division_roots(coeffs):
+    """Rational roots of a0 + a1*v + a2*v^2 with a0 != 0 by trial division
+    over p/q, p | a0 and q | a2, and the monic residual: the reference for
+    the discriminant path."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // gcd(den, c.denominator)
+    ints = [c * den for c in coeffs]
+    roots = []
+    candidates = sorted(
+        {sg * Fraction(p, q) for p in _divisors(abs(int(ints[0])))
+         for q in _divisors(abs(int(ints[-1]))) for sg in (1, -1)}
+    )
+    for r in candidates:
+        while len(ints) > 1:
+            quot = [Fraction(0)] * (len(ints) - 1)
+            acc = Fraction(0)
+            for i in range(len(ints) - 1, 0, -1):
+                acc = ints[i] + acc * r
+                quot[i - 1] = acc
+            if ints[0] + acc * r:
+                break
+            if r not in roots:
+                roots.append(r)
+            ints = quot
+    return sorted(roots), [c / ints[-1] for c in ints]
+
+
+def test_quadratic_roots_pins():
+    F = Fraction
+    # two roots, a double root, no rational root, a negative discriminant
+    assert univariate_rational_roots([F(-1), F(-1), F(2)]) == ([F(-1, 2), F(1)], [F(1)])
+    assert univariate_rational_roots([F(4), F(-12), F(9)]) == ([F(2, 3)], [F(1)])
+    assert univariate_rational_roots([F(-2), F(0), F(1)]) == ([], [F(-2), F(0), F(1)])
+    assert univariate_rational_roots([F(1, 2), F(1, 3), F(2)]) == (
+        [], [F(1, 4), F(1, 6), F(1)]
+    )
+    # a zero root comes off first, leaving v^2 - 1
+    assert univariate_rational_roots([F(0), F(-1), F(0), F(1)]) == ([F(-1), F(0), F(1)], [F(1)])
+
+
+nonzero_small = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+
+
+@given(
+    st.one_of(
+        # a * (v - r1) * (v - r2): rational roots, double when r1 == r2
+        st.tuples(nonzero_small, nonzero_small, nonzero_small).map(
+            lambda t: [t[0] * t[1] * t[2], -t[0] * (t[1] + t[2]), t[0]]
+        ),
+        st.tuples(nonzero_small, nonzero_small).map(lambda t: [t[0] * t[0], 2 * t[0] * t[1], t[1] * t[1]]),
+        st.tuples(nonzero_small, st.fractions(-6, 6, max_denominator=6), nonzero_small).map(list),
+    )
+)
+@settings(max_examples=200)
+def test_quadratic_roots_match_trial_division(coeffs):
+    assert univariate_rational_roots(coeffs) == trial_division_roots(coeffs)

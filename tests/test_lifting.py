@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pba.lifting import (
@@ -17,7 +17,7 @@ from pba.lifting import (
     verify_lift,
 )
 from pba.poly import Poly, X, Y, Z
-from pba.triples import PolyVec, grad, verify_triple
+from pba.triples import PolyVec, grad, qm_exact_triple, verify_triple
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 monos = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -49,6 +49,18 @@ def test_series_arithmetic():
     assert (b * c).is_zero()
 
 
+def test_series_constructor_validates_like_poly():
+    assert TruncatedSeries({(1, 0, 0): 1, (0, 0, 0): Fraction(1, 2), (3, 0, 0): 2}, 2) == truncate(
+        X + Fraction(1, 2), 2
+    )
+    with pytest.raises(ValueError):
+        TruncatedSeries({("a", 0, 0): 1}, 3)
+    with pytest.raises(ValueError):
+        TruncatedSeries({(-1, 0, 0): 1}, 3)
+    with pytest.raises(ValueError):
+        TruncatedSeries({(1, 0, 0): 1}, -1)
+
+
 def test_series_cap_mismatch():
     with pytest.raises(ValueError, match="cap mismatch"):
         series(X, 2) + series(Y, 3)
@@ -76,6 +88,38 @@ def test_series_equality_and_hash():
 def test_series_mul_matches_truncated_poly_mul(p, q, cap):
     a, b = series(p, cap), series(q, cap)
     assert a * b == truncate(p * q, cap)
+
+
+def convolution(a: TruncatedSeries, b: TruncatedSeries) -> dict:
+    """The product coefficients by a plain Fraction convolution."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(x + y for x, y in zip(ma, mb))
+            if sum(m) <= a.cap:
+                out[m] = out.get(m, Fraction(0)) + ca * cb
+    return {m: c for m, c in out.items() if c}
+
+
+@given(polys, polys, st.integers(0, 5))
+@settings(max_examples=40)
+def test_series_mul_matches_fraction_convolution(p, q, cap):
+    a, b = series(p, cap), series(q, cap)
+    assert dict((a * b).items()) == convolution(a, b)
+
+
+def test_series_mul_cancellation():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    # the x*y terms cancel; no zero coefficient is kept
+    a = series(half * X + third * Y, 2) * series(half * X - third * Y, 2)
+    assert dict(a.items()) == {(2, 0, 0): Fraction(1, 4), (0, 2, 0): Fraction(-1, 9)}
+    # (1 + x/2)(1 - x/2 + x^2/4 - x^3/8) = 1 - x^4/16: all but 1 cancels or is cut
+    b = series(1 + half * X, 3) * series(1 - half * X + X**2 / 4 - X**3 / 8, 3)
+    assert dict(b.items()) == {(0, 0, 0): Fraction(1)}
+    assert (series(X**2 / 3, 3) * series(Y**2 / 5, 3)).is_zero()
+    assert (series(Poly.zero(), 3) * series(X / 7, 3)).is_zero()
+    with pytest.raises(ValueError, match="cap mismatch"):
+        series(X / 2, 2) * series(Y / 3, 3)
 
 
 @given(polys, polys, st.integers(0, 4))
@@ -190,3 +234,87 @@ def test_certificate_is_deterministic():
     assert a.cycles == b.cycles
     assert a.lift.b == b.lift.b
     assert a.lift.d == b.lift.d
+
+
+def fraction_lift(T, weight: int) -> tuple[dict, dict]:
+    """The lift recurrence summed term by term in Fraction: the reference
+    the integer kernel of lift_at_origin must agree with."""
+    zero, one = Fraction(0), Fraction(1)
+    fc, gc, hc = (dict(c.items()) for c in T.vec)
+    f0 = fc[(0, 0, 0)]
+    b = {(0, 0, 0): f0}
+    d = {
+        (0, 0, 0): zero,
+        (1, 0, 0): one,
+        (0, 1, 0): gc[(0, 0, 0)] / f0,
+        (0, 0, 1): hc.get((0, 0, 0), zero) / f0,
+    }
+    for w in range(1, weight + 1):
+        d[(w + 1, 0, 0)] = zero
+        for i in range(w, -1, -1):
+            rem = w - i
+            for j in range(rem, -1, -1):
+                k = rem - j
+                acc = zero
+                for r in range(1, i + 2):
+                    for s in range(j + 1):
+                        for t in range(k + 1):
+                            if (r, s, t) != (1, 0, 0):
+                                acc += r * b[(i - r + 1, j - s, k - t)] * d[(r, s, t)]
+                b[(i, j, k)] = fc.get((i, j, k), zero) - acc
+            j = rem
+            acc = zero
+            for r in range(i + 1):
+                for s in range(1, j + 2):
+                    if (r, s) != (i, j + 1):
+                        acc += s * b[(i - r, j - s + 1, 0)] * d[(r, s, 0)]
+            d[(i, j + 1, 0)] = (gc.get((i, j, 0), zero) - acc) / ((j + 1) * f0)
+            for k in range(rem + 1):
+                j = rem - k
+                acc = zero
+                for r in range(i + 1):
+                    for s in range(j + 1):
+                        for t in range(1, k + 2):
+                            if (r, s, t) != (i, j, k + 1):
+                                acc += t * b[(i - r, j - s, k - t + 1)] * d[(r, s, t)]
+                d[(i, j, k + 1)] = (hc.get((i, j, k), zero) - acc) / ((k + 1) * f0)
+    return {m: c for m, c in b.items() if c}, {m: c for m, c in d.items() if c}
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+units = small.filter(bool)
+low_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+
+
+@given(
+    st.dictionaries(low_monos, small, max_size=4),
+    units, units, units, small,
+    st.integers(0, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_lift_matches_fraction_recurrence(extra, sx, sy, t0, tz, weight):
+    # s/t with t(0) != 0 is a power series that is not a polynomial, so b
+    # and d come out dense; linear x and y terms in s give fractional
+    # f(0) = t(0)*sx and g(0) = t(0)*sy
+    s = Poly(extra) + sx * X + sy * Y - Poly.constant(Poly(extra).constant_term())
+    t = Poly.constant(t0) + tz * Z
+    try:
+        T = qm_exact_triple(s, t)
+    except ValueError:
+        assume(False)
+    assume(T.f.constant_term() and T.g.constant_term())
+    result = lift_at_origin(T, weight)
+    b, d = fraction_lift(T, weight)
+    assert dict(result.b.items()) == b
+    assert dict(result.d.items()) == d
+    assert verify_lift(result, T)
+
+
+def test_lift_matches_fraction_recurrence_at_weight_nine():
+    s = X / 2 - Y / 3 + X * Z / 5 + Y**2 * Z
+    t = Fraction(3, 4) + X / 7 - Z
+    T = qm_exact_triple(s, t)
+    result = lift_at_origin(T, 9)
+    b, d = fraction_lift(T, 9)
+    assert dict(result.b.items()) == b
+    assert dict(result.d.items()) == d
