@@ -9,13 +9,18 @@ Conventions: variable precedence follows tuple position (slot 0 highest).
 Buchberger uses normal (smallest-lcm-first) pair selection with both the
 coprime-lead and chain criteria; intermediate remainders are cleared to
 primitive integer form to keep coefficients small.
+
+Inputs are read-only: no function here mutates a polynomial it is given,
+and every polynomial it returns is a fresh dict. So callers may pass the
+term dicts of immutable polynomials without copying them.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd as igcd, isqrt
+from math import gcd as igcd, isqrt, lcm
+from typing import Collection
 
 Mono = tuple[int, ...]
 Epoly = dict[Mono, Fraction]
@@ -28,6 +33,7 @@ def lex_key(m: Mono):
 
 
 def grlex_key(m: Mono):
+    """Sort key realizing graded lex order, slot 0 highest."""
     return (sum(m), m)
 
 
@@ -51,21 +57,23 @@ def lead(p: Epoly, key) -> Mono:
     return max(p, key=key)
 
 
+def integer_numerators(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
+    """The lcm den of the denominators, and c * den for each c in coeffs,
+    in their order."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
 def clear_denominators(p: Epoly, key) -> Epoly:
     """Scale to a primitive integer polynomial with positive leading
     coefficient under the given order."""
     if not p:
-        return p
-    den = 1
-    for c in p.values():
-        den = den * c.denominator // igcd(den, c.denominator)
-    num = 0
-    for c in p.values():
-        num = igcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
+        return {}
+    nums = integer_numerators(p.values())[1]
+    g = igcd(*nums)
     if p[lead(p, key)] < 0:
-        scale = -scale
-    return {m: c * scale for m, c in p.items()}
+        g = -g
+    return {m: Fraction(n // g) for m, n in zip(p, nums)}
 
 
 def spoly(p: Epoly, q: Epoly, key) -> Epoly:
@@ -232,10 +240,7 @@ def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], l
         work.pop()
     if not work:
         raise ValueError("zero polynomial")
-    den = 1
-    for c in work:
-        den = den * c.denominator // igcd(den, c.denominator)
-    ints = [c * den for c in work]
+    ints = [Fraction(n) for n in integer_numerators(work)[1]]
     roots: list[Fraction] = []
     while len(ints) > 1 and not ints[0]:
         roots.append(Fraction(0))
@@ -302,7 +307,7 @@ def solve_rational(gens: list[Epoly], nvars: int) -> tuple[list[tuple[Fraction, 
     coefficient list) pairs.
     """
     sink: list[tuple[int, list[Fraction]]] = []
-    points, complete = _solve_rec([dict(g) for g in gens if g], nvars, sink)
+    points, complete = _solve_rec(gens, nvars, sink)
     points.sort()
     return points, complete, sink
 

@@ -12,6 +12,7 @@ mismatch), 2 for usage and parse errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -180,7 +181,10 @@ def _cmd_corpus(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on first use and shared by later calls;
+    parsing leaves it unchanged."""
     top = argparse.ArgumentParser(
         prog="pba",
         description="Exact Poisson-bracket calculus and Poisson spectra on Q[x,y,z].",

@@ -38,14 +38,13 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = TermOrder.GRLEX) -> Groe
     gens = tuple(gens)
     if not gens:
         raise ValueError("empty generator list")
-    raw = [dict(g.items()) for g in gens if not g.is_zero()]
-    basis = _engine.buchberger(raw, _KEYS[order])
+    basis = _engine.buchberger([g._terms for g in gens], _KEYS[order])
     return GroebnerBasis(gens, tuple(Poly._make(b) for b in basis), order)
 
 
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     """Unique remainder of p modulo the ideal; zero iff p is a member."""
-    raw = _engine.normal_form(dict(p.items()), [dict(b.items()) for b in G.basis], _KEYS[G.order])
+    raw = _engine.normal_form(p._terms, [b._terms for b in G.basis], _KEYS[G.order])
     return Poly._make(raw)
 
 
@@ -60,15 +59,14 @@ def is_unit_ideal(G: GroebnerBasis) -> bool:
 def dimension(G: GroebnerBasis) -> int:
     """Krull dimension of the quotient; -1 encodes the unit ideal, 3 the
     zero ideal."""
-    return _engine.dimension([dict(b.items()) for b in G.basis], 3, _KEYS[G.order])
+    return _engine.dimension([b._terms for b in G.basis], 3, _KEYS[G.order])
 
 
 def certify(G: GroebnerBasis) -> bool:
     """Check the Gröbner property directly: all S-polynomials of the basis
     and all original generators reduce to zero."""
-    gens = [dict(g.items()) for g in G.generators]
-    basis = [dict(b.items()) for b in G.basis]
-    return _engine.certify(gens, basis, _KEYS[G.order])
+    gens = [g._terms for g in G.generators]
+    return _engine.certify(gens, [b._terms for b in G.basis], _KEYS[G.order])
 
 
 @dataclass(frozen=True)
@@ -90,8 +88,7 @@ def rational_points(G: GroebnerBasis) -> RationalPoints:
     extraction and back-substitution."""
     if dimension(G) != 0:
         raise ValueError("ideal is not zero-dimensional")
-    gens = [dict(g.items()) for g in G.generators if not g.is_zero()]
-    pts, complete, sink = _engine.solve_rational(gens, 3)
+    pts, complete, sink = _engine.solve_rational([g._terms for g in G.generators], 3)
     eliminants = []
     for var_index, coeffs in sink:
         terms = {}

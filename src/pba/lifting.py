@@ -23,10 +23,12 @@ so that all the finished products at weight w lie over one denominator,
 sums each coefficient's products as Python ints, and makes one Fraction
 of the sum. The remaining product stays in Fraction: the d of weight w+1
 against b_000 in the x-equation, and the b of weight w against d_010 or
-d_001 in the y- and z-equations. TruncatedSeries products bring each operand to integer
-numerators over its own common denominator, convolve the ints and divide
-once per output coefficient. verify_lift checks a lift with that generic
-product only, so the check shares no code with the lift kernel.
+d_001 in the y- and z-equations.
+
+A TruncatedSeries is a Poly and a cap, and its product is the Poly
+product kernel, poly.product_terms, given that cap. verify_lift checks a
+lift with that generic product only, so the check shares no code with
+the lift kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from math import lcm
 from operator import mul
 from typing import Iterator, Mapping, Union
 
-from .poly import Monomial, Poly, ScalarLike
+from ._engine import integer_numerators
+from .poly import Monomial, Poly, ScalarLike, product_terms
 from .triples import PolyVec, PoissonTriple, _as_vec, cycle_variables, ensure_verified, verify_triple
 
 _ZERO = Fraction(0)
@@ -54,21 +57,21 @@ class TruncatedSeries:
     """Polynomial data truncated at a total-degree cap.
 
     Represents an element of the power-series completion at the origin
-    modulo terms of degree > cap. Binary operations insist on matching
-    caps; products drop everything the cap cannot see.
+    modulo terms of degree > cap: a Poly with no term above the cap, and
+    the cap. Binary operations insist on matching caps; products drop
+    everything the cap cannot see.
     """
 
-    __slots__ = ("_terms", "_cap")
+    __slots__ = ("_poly", "_cap")
 
     def __init__(self, terms: Mapping[Monomial, ScalarLike], cap: int):
-        s = truncate(Poly(terms), cap)
-        self._terms = s._terms
+        self._poly = truncate(Poly(terms), cap)._poly
         self._cap = cap
 
     @classmethod
-    def _make(cls, data: dict[Monomial, Fraction], cap: int) -> "TruncatedSeries":
+    def _make(cls, poly: Poly, cap: int) -> "TruncatedSeries":
         s = cls.__new__(cls)
-        s._terms = data
+        s._poly = poly
         s._cap = cap
         return s
 
@@ -77,16 +80,16 @@ class TruncatedSeries:
         return self._cap
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        return self._poly.items()
 
     def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), _ZERO)
+        return self._poly.coeff(mono)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return self._poly.is_zero()
 
     def to_poly(self) -> Poly:
-        return Poly._make(dict(self._terms))
+        return self._poly
 
     def _check_cap(self, other: "TruncatedSeries") -> None:
         if self._cap != other._cap:
@@ -96,76 +99,49 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_cap(other)
-        data = dict(self._terms)
-        for m, c in other._terms.items():
-            v = data.get(m, _ZERO) + c
-            if v:
-                data[m] = v
-            else:
-                data.pop(m, None)
-        return TruncatedSeries._make(data, self._cap)
+        return TruncatedSeries._make(self._poly + other._poly, self._cap)
 
     def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self + (-other)
+        self._check_cap(other)
+        return TruncatedSeries._make(self._poly - other._poly, self._cap)
 
     def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._make({m: -c for m, c in self._terms.items()}, self._cap)
+        return TruncatedSeries._make(-self._poly, self._cap)
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_cap(other)
-        cap = self._cap
-        da, left = _over_common_denominator(self._terms)
-        db, right = _over_common_denominator(other._terms)
-        right.sort()
-        acc: dict[Monomial, int] = {}
-        for ea, (a0, a1, a2), na in left:
-            room = cap - ea
-            for eb, (b0, b1, b2), nb in right:
-                if eb > room:
-                    break
-                m = (a0 + b0, a1 + b1, a2 + b2)
-                acc[m] = acc.get(m, 0) + na * nb
-        den = da * db
-        return TruncatedSeries._make({m: Fraction(n, den) for m, n in acc.items() if n}, cap)
+        terms = product_terms(self._poly._terms, other._poly._terms, self._cap)
+        return TruncatedSeries._make(Poly._make(terms), self._cap)
 
     def derivative(self, var: Union[str, int]) -> "TruncatedSeries":
         """Partial derivative; the cap drops by one because the top slice
         of the input says nothing about higher terms of the derivative."""
-        dp = self.to_poly().derivative(var)
-        cap = max(self._cap - 1, 0)
-        return TruncatedSeries._make({m: c for m, c in dp.items() if sum(m) <= cap}, cap)
+        return truncate(self._poly.derivative(var), max(self._cap - 1, 0))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return self._cap == other._cap and self._terms == other._terms
+        return self._cap == other._cap and self._poly == other._poly
 
     def __hash__(self) -> int:
-        return hash((self._cap, frozenset(self._terms.items())))
+        return hash((self._cap, self._poly))
 
     def __str__(self) -> str:
-        return str(self.to_poly())
+        return str(self._poly)
 
     def __repr__(self) -> str:
-        return f"TruncatedSeries({str(self.to_poly())!r}, cap={self._cap})"
-
-
-def _over_common_denominator(terms: Mapping[Monomial, Fraction]) -> tuple[int, list[tuple[int, Monomial, int]]]:
-    """The lcm den of the denominators, and (degree, monomial, c * den)
-    for each term c."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(sum(m), m, c.numerator * (den // c.denominator)) for m, c in terms.items()]
+        return f"TruncatedSeries({str(self._poly)!r}, cap={self._cap})"
 
 
 def truncate(p: Poly, cap: int) -> TruncatedSeries:
     """View a polynomial in the completion, chopped at total degree cap."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    return TruncatedSeries._make({m: c for m, c in p.items() if sum(m) <= cap}, cap)
+    return TruncatedSeries._make(Poly._make({m: c for m, c in p.items() if sum(m) <= cap}), cap)
 
 
 @dataclass(frozen=True)
@@ -198,9 +174,8 @@ def _integer_slice(coeffs: Mapping[Monomial, Fraction], u: int) -> tuple[list[Mo
     numerators, and the lcm of the denominators. A monomial of the weight
     that is missing from coeffs raises KeyError."""
     mons = [(u - a, a - k, k) for a in range(u + 1) for k in range(a + 1)]
-    vals = [coeffs[m] for m in mons]
-    den = lcm(*(c.denominator for c in vals))
-    return mons, [c.numerator * (den // c.denominator) for c in vals], den
+    den, nums = integer_numerators([coeffs[m] for m in mons])
+    return mons, nums, den
 
 
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -308,8 +283,8 @@ def lift_at_origin(F, weight: int) -> LiftResult:
         bw.append(_integer_slice(b, w))
         dw.append(_integer_slice(d, w + 1))
 
-    bs = TruncatedSeries._make({m: c for m, c in b.items() if c}, weight)
-    ds = TruncatedSeries._make({m: c for m, c in d.items() if c}, weight + 1)
+    bs = TruncatedSeries._make(Poly._make({m: c for m, c in b.items() if c}), weight)
+    ds = TruncatedSeries._make(Poly._make({m: c for m, c in d.items() if c}), weight + 1)
     return LiftResult(b=bs, d=ds, weight=weight, conventions=tuple(conventions))
 
 

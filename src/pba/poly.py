@@ -5,6 +5,12 @@ exponent triples, and every polynomial is kept in canonical form: no zero
 coefficients are stored, so structural equality is value equality.
 Display and leading-term conventions use graded lexicographic order with
 x > y > z throughout.
+
+Products are summed as integers: each operand is brought to integer
+numerators over the lcm of its denominators, the numerators are convolved
+as Python ints, and each output coefficient becomes one Fraction over the
+product of the two denominators. The same kernel, given a total-degree
+cap, is the product of truncated power series in `lifting`.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from fractions import Fraction
 from math import gcd as igcd
 from typing import Iterable, Iterator, Union
 
-from ._engine import clear_denominators
+from ._engine import clear_denominators, grlex_key, integer_numerators
 
 Monomial = tuple[int, int, int]
 ScalarLike = Union[Fraction, int]
@@ -27,11 +33,6 @@ VARS = ("x", "y", "z")
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _ORIGIN_MONO: Monomial = (0, 0, 0)
-
-
-def grlex_key(m: Monomial) -> tuple[int, Monomial]:
-    """Sort key realizing graded lex order with x > y > z."""
-    return (m[0] + m[1] + m[2], m)
 
 
 def _var_index(var: Union[str, int]) -> int:
@@ -189,12 +190,8 @@ class Poly:
             return Poly._make({m: cc * c for m, cc in self._terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                key = (m1[0] + m2[0], m1[1] + m2[1], m1[2] + m2[2])
-                out[key] = out.get(key, _ZERO) + c1 * c2
-        return Poly._make({m: c for m, c in out.items() if c})
+        cap = self.total_degree() + other.total_degree()
+        return Poly._make(product_terms(self._terms, other._terms, cap))
 
     __rmul__ = __mul__
 
@@ -313,6 +310,24 @@ class Poly:
             else:
                 parts.append(f"+ {text}" if c > 0 else f"- {text}")
         return " ".join(parts)
+
+
+def product_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction], cap: int) -> dict[Monomial, Fraction]:
+    """The nonzero terms of total degree <= cap of the product of the term
+    maps a and b, summed on integer numerators and divided once per term."""
+    da, na = integer_numerators(a.values())
+    db, nb = integer_numerators(b.values())
+    right = sorted(zip(map(sum, b), b, nb))
+    acc: dict[Monomial, int] = {}
+    for (a0, a1, a2), x in zip(a, na):
+        room = cap - a0 - a1 - a2
+        for e, (b0, b1, b2), y in right:
+            if e > room:
+                break
+            m = (a0 + b0, a1 + b1, a2 + b2)
+            acc[m] = acc.get(m, 0) + x * y
+    den = da * db
+    return {m: Fraction(n, den) for m, n in acc.items() if n}
 
 
 X = Poly.variable("x")

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from pba import cli
 from pba.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -260,6 +262,40 @@ def test_corpus_json_output():
 def test_unknown_command_is_usage_error():
     code, _, _ = run_cli("frobnicate")
     assert code == 2
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    real = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        real(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli._build_parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run_cli("check-jacobi", "--f", "y", "--g", "-x", "--h", "0")[0] == 0
+        assert run_cli("frobnicate")[0] == 2
+    finally:
+        cli._build_parser.cache_clear()
+    assert built.count("pba") == 1
+
+
+def test_shared_parser_prints_what_separate_calls_print():
+    calls = [
+        ("spectrum", "--s", "x*y + z^2", "--max-deg", "three"),
+        ("spectrum", "--s", "x^2 + y^2 + z^2", "--params", "1:0", "--json"),
+        ("spectrum", "--s", "x^2 + y^2 + z^2", "--params", "1:0"),
+    ]
+    separate = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        separate.append(run_cli(*argv))
+    shared = [run_cli(*argv) for argv in calls]
+    assert [r[0] for r in shared] == [2, 0, 0]
+    assert shared == separate
 
 
 # Triples t*grad(s) - s*grad(t), one per way a certificate is found:

@@ -125,6 +125,33 @@ def test_rational_points_with_multiplicity():
     assert pts.complete
 
 
+def test_engine_leaves_its_inputs_alone():
+    # the engine gets the term dicts of the Polys themselves, uncopied
+    h = Fraction(1, 2)
+    gens = [X**2 / 4 - Fraction(1, 9), Y - 3 * X / 2, 6 * Z**2 - Z * h, Poly.zero()]
+    p = X**3 * Y / 7 - Z / 5 + h
+    snaps = {}
+
+    def snap(*polys):
+        for q in polys:
+            snaps[id(q)] = (q, dict(q.items()), hash(q))
+
+    snap(*gens, p)
+    G = buchberger(gens)
+    snap(*G.basis)
+    Glex = buchberger(gens, order=TermOrder.LEX)
+    snap(*Glex.basis)
+    for basis in (G, Glex):
+        normal_form(p, basis)
+        ideal_member(p, basis)
+        assert certify(basis)
+        assert dimension(basis) == 0
+        assert rational_points(basis).points
+    for q, terms, digest in snaps.values():
+        assert dict(q.items()) == terms
+        assert hash(q) == digest
+
+
 def test_lex_order_elimination():
     G = buchberger([X - Y**2, Y - Z], order=TermOrder.LEX)
     # lex with x > y > z eliminates x first

@@ -1,6 +1,7 @@
 """Tests for the polynomial text format."""
 
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -81,6 +82,13 @@ def test_nesting_past_the_limit_is_a_parse_error():
         with pytest.raises(ParseError, match="nested") as info:
             parse("(" * depth + "x" + ")" * depth)
         assert info.value.offset == MAX_NESTING
+
+
+def test_high_power_expands_in_bounded_time():
+    p = parse("(x+y+z+1)^40")
+    assert len(p) == 12341
+    assert p.coeff((40, 0, 0)) == 1
+    assert p.coeff((10, 10, 10)) == factorial(40) // factorial(10) ** 4
 
 
 def test_minus_is_expected_only_where_an_expression_starts():

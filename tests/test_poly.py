@@ -128,6 +128,27 @@ def test_pow():
         X ** (-1)
 
 
+def test_product_pins():
+    # the cross terms cancel, and no zero coefficient is stored
+    p = (X / 2 + Y / 3) * (X / 2 - Y / 3)
+    assert p == X**2 / 4 - Y**2 / 9
+    assert len(p) == 2
+    assert (X + Fraction(1, 7)) * Poly.zero() == Poly.zero()
+    assert (Poly.zero() * (X + 1)).is_zero()
+    assert Poly.constant(Fraction(-2, 3)) * (X / 5 + 1) == -2 * X / 15 - Fraction(2, 3)
+
+
+big_coeffs = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
+big_monos = st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6))
+big_polys = st.dictionaries(big_monos, big_coeffs, max_size=12).map(Poly)
+
+
+@given(big_polys, big_polys)
+@settings(max_examples=40, deadline=None)
+def test_product_matches_sympy(a, b):
+    assert to_sympy(a * b) == sp.expand(to_sympy(a) * to_sympy(b))
+
+
 def test_scalar_division():
     assert (2 * X) / 2 == X
     assert X / Fraction(1, 3) == 3 * X
