@@ -6,9 +6,11 @@ factor-search ansatz reuses it with one tuple slot per unknown
 coefficient, which is why nothing in this file assumes width three.
 
 Conventions: variable precedence follows tuple position (slot 0 highest).
-Buchberger uses normal (smallest-lcm-first) pair selection with both the
-coprime-lead and chain criteria; intermediate remainders are cleared to
-primitive integer form to keep coefficients small.
+Buchberger keeps each basis element as a primitive integer polynomial with
+its lead alongside, reduces fraction-free, and makes Fractions only for the
+monic reduced basis it returns. Pairs go smallest lcm first and are pruned
+by the Gebauer-Moller update (J. Symb. Comp. 6, 1988). The public
+normal_form and certify clear denominators and use the same reduction.
 
 Inputs are read-only: no function here mutates a polynomial it is given,
 and every polynomial it returns is a fresh dict. So callers may pass the
@@ -18,14 +20,18 @@ term dicts of immutable polynomials without copying them.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from fractions import Fraction
+from itertools import chain
 from math import gcd as igcd, isqrt, lcm
+from operator import add, le, sub
 from typing import Collection
 
 Mono = tuple[int, ...]
 Epoly = dict[Mono, Fraction]
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def lex_key(m: Mono):
@@ -38,19 +44,19 @@ def grlex_key(m: Mono):
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_add(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def lead(p: Epoly, key) -> Mono:
@@ -76,111 +82,141 @@ def clear_denominators(p: Epoly, key) -> Epoly:
     return {m: Fraction(n // g) for m, n in zip(p, nums)}
 
 
-def spoly(p: Epoly, q: Epoly, key) -> Epoly:
-    lp, lq = lead(p, key), lead(q, key)
-    big = mono_lcm(lp, lq)
-    cp, cq = p[lp], q[lq]
-    out: Epoly = {}
-    sp = mono_sub(big, lp)
-    for m, c in p.items():
-        out[mono_add(m, sp)] = c / cp
-    sq = mono_sub(big, lq)
-    for m, c in q.items():
-        k = mono_add(m, sq)
-        v = out.get(k, _ZERO) - c / cq
-        if v:
-            out[k] = v
+Reducer = tuple[Mono, int, list[tuple[Mono, int]]]
+
+
+def _integers(p: Epoly) -> dict[Mono, int]:
+    return dict(zip(p, integer_numerators(p.values())[1]))
+
+
+def _reducer(p: dict[Mono, int], key) -> Reducer:
+    """Nonzero integer p over its content, signed so that its lead
+    coefficient is positive, as (lead, lead coefficient, other terms)."""
+    lm = max(p, key=key)
+    g = igcd(*p.values()) if p[lm] > 0 else -igcd(*p.values())
+    return lm, p[lm] // g, [(m, c // g) for m, c in p.items() if m != lm]
+
+
+def _reduce(p: dict[Mono, int], reducers: list[Reducer], key) -> tuple[dict[Mono, int], int]:
+    """Full remainder of integer p under division by the reducers, scanning
+    them in order, fraction-free: returns (r, s) with s > 0 such that r / s
+    is the remainder over Q. Before a term c is cancelled against a leading
+    coefficient lc, the running remainder is scaled by lc // gcd(c, lc).
+    Terms leave in descending order; every term a step adds is smaller
+    than the one it cancels, so a term that has left never comes back."""
+    work = dict(p)
+    todo = sorted(work, key=key)  # ascending, and may hold cancelled terms
+    rem: dict[Mono, int] = {}
+    scale = 1
+    while todo:
+        m = todo.pop()
+        c = work.pop(m, 0)
+        if not c:
+            continue
+        for lm, lc, tail in reducers:
+            if mono_divides(lm, m):
+                g = igcd(c, lc)
+                if g != lc:
+                    mult = lc // g
+                    scale *= mult
+                    for terms in (work, rem):
+                        for k in terms:
+                            terms[k] *= mult
+                q = c // g
+                shift = mono_sub(m, lm)
+                for bm, bc in tail:
+                    k = mono_add(bm, shift)
+                    v = work.get(k)
+                    if v is None:
+                        work[k] = -q * bc
+                        insort(todo, k, key=key)
+                    elif v == q * bc:
+                        del work[k]
+                    else:
+                        work[k] = v - q * bc
+                break
         else:
-            out.pop(k, None)
+            rem[m] = c
+    return rem, scale
+
+
+def _spoly(a: Reducer, b: Reducer, big: Mono) -> dict[Mono, int]:
+    """Integer S-polynomial of a and b over the lcm big of their leads, each
+    side scaled by the other's lead coefficient over their gcd; the leads
+    cancel, so only the tails are formed."""
+    g = igcd(a[1], b[1])
+    out: dict[Mono, int] = {}
+    for (lm, _, tail), f in ((a, b[1] // g), (b, -a[1] // g)):
+        shift = mono_sub(big, lm)
+        for m, c in tail:
+            k = mono_add(m, shift)
+            v = out.get(k, 0) + f * c
+            if v:
+                out[k] = v
+            else:
+                del out[k]
     return out
 
 
 def normal_form(p: Epoly, basis: list[Epoly], key) -> Epoly:
     """Full remainder of p under division by the basis, scanning divisors
     in basis order; unique when the basis is a Gröbner basis."""
-    pairs = [(lead(b, key), b) for b in basis]
-    work = dict(p)
-    rem: Epoly = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        for lm, b in pairs:
-            if mono_divides(lm, m):
-                coef = c / b[lm]
-                shift = mono_sub(m, lm)
-                for bm, bc in b.items():
-                    if bm == lm:
-                        continue
-                    k = mono_add(bm, shift)
-                    v = work.get(k, _ZERO) - coef * bc
-                    if v:
-                        work[k] = v
-                    else:
-                        work.pop(k, None)
-                break
-        else:
-            rem[m] = c
-    return rem
+    den, nums = integer_numerators(p.values())
+    reducers = [_reducer(_integers(b), key) for b in basis]
+    rem, scale = _reduce(dict(zip(p, nums)), reducers, key)
+    return {m: Fraction(c, den * scale) for m, c in rem.items()}
 
 
 def buchberger(gens: list[Epoly], key) -> list[Epoly]:
     """Reduced Gröbner basis (monic, fully inter-reduced, sorted by
     descending leading monomial). Deterministic for fixed input."""
-    basis = [clear_denominators(g, key) for g in gens if g]
-    if not basis:
-        return []
-    pending: list[tuple] = []
+    polys: list[Reducer] = []
+    live: list[int] = []  # indices of the elements new pairs are made with
+    pending: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
 
-    def push(i: int, j: int):
-        big = mono_lcm(lead(basis[i], key), lead(basis[j], key))
-        heapq.heappush(pending, (key(big), i, j))
+    def update(h: Reducer):
+        # Gebauer-Moller: of h's new pairs, drop those whose lcm another's
+        # divides (keeping one per lcm) and those with coprime leads; drop
+        # old pairs whose lcm lh divides unless it is an lcm with h.
+        lh = h[0]
+        new = [(mono_lcm(polys[g][0], lh), g) for g in live]
+        kept = []
+        for n, (big, g) in enumerate(new):
+            coprime = not any(map(min, polys[g][0], lh))
+            if coprime or not any(mono_divides(o[0], big) for o in chain(new[n + 1:], kept)):
+                kept.append((big, g, coprime))
+        pending[:] = [
+            p for p in pending
+            if not mono_divides(lh, p[3])
+            or p[3] in (mono_lcm(polys[p[1]][0], lh), mono_lcm(polys[p[2]][0], lh))
+        ]
+        heapq.heapify(pending)
+        j = len(polys)
+        for big, g, coprime in kept:
+            if not coprime:
+                heapq.heappush(pending, (key(big), g, j, big))
+        live[:] = [g for g in live if not mono_divides(lh, polys[g][0])] + [j]
+        polys.append(h)
 
-    for j in range(len(basis)):
-        for i in range(j):
-            push(i, j)
-    done: set[tuple[int, int]] = set()
+    for g in gens:
+        if g:
+            update(_reducer(_integers(g), key))
     while pending:
-        _, i, j = heapq.heappop(pending)
-        done.add((i, j))
-        li, lj = lead(basis[i], key), lead(basis[j], key)
-        big = mono_lcm(li, lj)
-        if big == mono_add(li, lj):
-            continue  # coprime leads: S-poly reduces to zero
-        chained = False
-        for k in range(len(basis)):
-            if k in (i, j):
-                continue
-            if mono_divides(lead(basis[k], key), big):
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in done and b in done:
-                    chained = True
-                    break
-        if chained:
-            continue
-        r = normal_form(spoly(basis[i], basis[j], key), basis, key)
+        _, i, j, big = heapq.heappop(pending)
+        r, _ = _reduce(_spoly(polys[i], polys[j], big), [polys[k] for k in live], key)
         if r:
-            basis.append(clear_denominators(r, key))
-            for k in range(len(basis) - 1):
-                push(k, len(basis) - 1)
-    return _reduce_basis(basis, key)
-
-
-def _reduce_basis(basis: list[Epoly], key) -> list[Epoly]:
-    ordered = sorted(basis, key=lambda b: key(lead(b, key)))
-    minimal: list[Epoly] = []
-    for b in ordered:
-        lm = lead(b, key)
-        if not any(mono_divides(lead(m, key), lm) for m in minimal):
-            minimal.append(b)
-    reduced: list[Epoly] = list(minimal)
-    for i in range(len(reduced)):
-        others = reduced[:i] + reduced[i + 1:]
-        r = normal_form(reduced[i], others, key)
-        lc = r[lead(r, key)]
-        reduced[i] = {m: c / lc for m, c in r.items()}
-    reduced.sort(key=lambda b: key(lead(b, key)), reverse=True)
-    return reduced
+            update(_reducer(r, key))
+    # Live leads are distinct. Keep the minimal ones, then reduce each tail
+    # by the elements with smaller leads, the only ones that divide its terms.
+    leads = [polys[g][0] for g in live]
+    minimal = [polys[g] for g in live
+               if not any(o != polys[g][0] and mono_divides(o, polys[g][0]) for o in leads)]
+    minimal.sort(key=lambda r: key(r[0]))
+    done: list[Reducer] = []
+    for lm, lc, tail in minimal:
+        rem, scale = _reduce(dict(tail), done, key)
+        done.append(_reducer({lm: lc * scale, **rem}, key))
+    return [{lm: _ONE, **{m: Fraction(c, lc) for m, c in tail}} for lm, lc, tail in reversed(done)]
 
 
 def is_unit(basis: list[Epoly], key) -> bool:
@@ -190,12 +226,13 @@ def is_unit(basis: list[Epoly], key) -> bool:
 def certify(gens: list[Epoly], basis: list[Epoly], key) -> bool:
     """Gröbner certificate: every input generator and every S-polynomial
     of the basis reduces to zero against the basis."""
+    reducers = [_reducer(_integers(b), key) for b in basis]
     for g in gens:
-        if g and normal_form(g, basis, key):
+        if g and _reduce(_integers(g), reducers, key)[0]:
             return False
-    for j in range(len(basis)):
-        for i in range(j):
-            if normal_form(spoly(basis[i], basis[j], key), basis, key):
+    for j, b in enumerate(reducers):
+        for a in reducers[:j]:
+            if _reduce(_spoly(a, b, mono_lcm(a[0], b[0])), reducers, key)[0]:
                 return False
     return True
 

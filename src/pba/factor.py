@@ -14,6 +14,15 @@ means no factor exists over any field extension, while a proper ideal
 with no rational point (e.g. x^2 - 2) leaves the factor irreducible over
 Q but not certified absolutely irreducible.
 
+Each ansatz keeps only the unknowns that Newton polytopes allow. By
+Ostrowski's theorem Newt(u*v) = Newt(u) + Newt(v), so a factor u with
+grlex lead m of q has a cofactor whose lead lm(q) - m lies in Newt(v),
+and every monomial e of u has e + lm(q) - m in Newt(q). This holds over
+any field, so the coefficients dropped for failing it vanish at every
+point of the full system, and neither the rational factors found nor the
+proper-ideal flag change. Newt(q) is bounded by its min/max slabs along
+the primitive directions in {-2..2}^3, which contain the exact polytope.
+
 Certification happens in one place, _factor_squarefree, from the flag
 that _ansatz_search returns: a part left whole is certified when no
 degree searched for it met a proper ideal, and a factor split off is
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
 
 from . import _engine
 from .poly import Monomial, Poly, exact_quotient, grlex_key, squarefree_decomposition
@@ -55,6 +66,24 @@ def _monomials_upto(d: int) -> list[Monomial]:
             for j in range(total - i, -1, -1):
                 out.append((i, j, total - i - j))
     return out
+
+
+# primitive directions in {-2..2}^3, one of each +/- pair
+_DIRECTIONS = [w for w in product(range(-2, 3), repeat=3)
+               if w > (0, 0, 0) and gcd(*w) == 1]
+
+
+def _newton_slabs(q: Poly) -> list[tuple[Monomial, int, int]]:
+    """(w, min, max) of w . e over the monomials e of q, per direction w."""
+    out = []
+    for w in _DIRECTIONS:
+        dots = [w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e, _ in q.items()]
+        out.append((w, min(dots), max(dots)))
+    return out
+
+
+def _in_slabs(e: Monomial, slabs: list[tuple[Monomial, int, int]]) -> bool:
+    return all(lo <= w[0] * e[0] + w[1] * e[1] + w[2] * e[2] <= hi for w, lo, hi in slabs)
 
 
 def _division_system(q: Poly, lm3: Monomial, unknowns: list[Monomial]) -> list[_engine.Epoly]:
@@ -98,8 +127,11 @@ def _ansatz_search(q: Poly, d: int) -> tuple[Poly | None, bool]:
     qlm = q.leading_monomial()
     candidates = [m for m in _monomials_upto(d) if sum(m) == d and _engine.mono_divides(m, qlm)]
     candidates.sort(key=grlex_key, reverse=True)
+    slabs = _newton_slabs(q)
     for m in candidates:
-        unknowns = [mm for mm in _monomials_upto(d) if grlex_key(mm) < grlex_key(m)]
+        lv = _engine.mono_sub(qlm, m)  # lead of the cofactor
+        unknowns = [mm for mm in _monomials_upto(d) if grlex_key(mm) < grlex_key(m)
+                    and _in_slabs(_engine.mono_add(mm, lv), slabs)]
         unknowns.sort(key=grlex_key, reverse=True)
         system = _division_system(q, m, unknowns)
         if not system:

@@ -180,3 +180,29 @@ def test_part_count_matches_sympy(p):
     assert rebuild(r) == p
     _, theirs = sp.factor_list(to_sympy(p), SX, SY, SZ)
     assert sum(m for _, m in theirs) == sum(part.multiplicity for part in r.parts)
+
+
+@pytest.mark.parametrize("text", [
+    "x^2*y^2*z^2 + 1",
+    "3*x^2*y^2*z^2 - 2*x^2*z^2 + 1/2*x*y + y^2",
+    "2*x^2*y^2*z^2 + y^2*z^2 + y*z + 3",
+    "(x*y - 2*y*z + x + 3)*(-3*x*y - 2*y^2 - 2*y - 2*z)*(-y^2 + 1)",
+])
+def test_degree_six_inputs_answer(text):
+    # the unpruned degree-3 ansatz ran past 100 s on each of these; the
+    # first three were drawn by test_part_count_matches_sympy
+    p = parse(text)
+    r = factor_bounded(p, 3)
+    assert r.complete
+    assert rebuild(r) == p
+    _, theirs = sp.factor_list(to_sympy(p), SX, SY, SZ)
+    assert sum(m for _, m in theirs) == sum(part.multiplicity for part in r.parts)
+
+
+def test_newton_pruning_keeps_the_extension_flag():
+    # (xyz)^2 + 1 splits over Q(i) as (xyz + i)(xyz - i): the one unknown
+    # the pruned degree-3 ansatz keeps meets c^2 + 1 = 0, a proper ideal
+    r = factor_bounded(parse("x^2*y^2*z^2 + 1"), 3)
+    assert [(str(p.factor), p.absolutely_irreducible_certified) for p in r.parts] == [
+        ("x^2*y^2*z^2 + 1", False)
+    ]

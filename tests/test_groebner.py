@@ -1,14 +1,17 @@
 """Tests for the Groebner layer, cross-checked against sympy."""
 
+import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from pba import _engine
 from pba._engine import _divisors, univariate_rational_roots
+from pba.factor import _division_system, _monomials_upto
 from pba.groebner import (
     GroebnerBasis,
     TermOrder,
@@ -21,7 +24,7 @@ from pba.groebner import (
     rational_points,
 )
 from pba.parser import parse
-from pba.poly import Poly, X, Y, Z
+from pba.poly import Poly, X, Y, Z, grlex_key
 
 SX, SY, SZ = sp.symbols("x y z")
 
@@ -33,10 +36,8 @@ def to_sympy(p: Poly):
     return sp.expand(expr)
 
 
-def sympy_monic_grlex(expr):
-    pb = sp.Poly(expr, SX, SY, SZ)
-    lc = max(pb.terms(), key=lambda t: (sum(t[0]), t[0]))[1]
-    return sp.expand(expr / lc)
+def sympy_monic(expr, gens=(SX, SY, SZ), order="grlex"):
+    return sp.expand(expr / sp.Poly(expr, *gens).LC(order=order))
 
 
 coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -167,9 +168,84 @@ def test_matches_sympy_groebner(gens):
         return
     ours = buchberger(gens)
     theirs = sp.groebner([to_sympy(g) for g in gens], SX, SY, SZ, order="grlex", domain="QQ")
-    expected = {sympy_monic_grlex(e) for e in theirs.exprs if e != 0}
+    expected = {sympy_monic(e) for e in theirs.exprs if e != 0}
     got = {to_sympy(b) for b in ours.basis}
     assert got == expected
+
+
+@given(st.lists(polys, min_size=1, max_size=3))
+@settings(max_examples=20, deadline=None)
+def test_lex_matches_sympy_groebner(gens):
+    if all(g.is_zero() for g in gens):
+        return
+    ours = buchberger(gens, order=TermOrder.LEX)
+    theirs = sp.groebner([to_sympy(g) for g in gens], SX, SY, SZ, order="lex", domain="QQ")
+    expected = {sympy_monic(e, order="lex") for e in theirs.exprs if e != 0}
+    assert {to_sympy(b) for b in ours.basis} == expected
+    assert certify(ours)
+
+
+def _random_factor(rng: random.Random, d: int) -> Poly:
+    top = [m for m in _monomials_upto(d) if sum(m) == d]
+    low = [m for m in _monomials_upto(d) if sum(m) < d]
+    picks = rng.sample(top, rng.randint(1, 2)) + rng.sample(low, min(len(low), rng.randint(1, 2)))
+    return Poly({m: rng.choice((-3, -2, -1, 1, 2, 3)) for m in picks})
+
+
+def ansatz_systems(seed: int):
+    """The factor-search systems of a seeded product q at factor degrees 1
+    and 2: one unknown, so one ring variable, per monomial under each
+    candidate lead, up to nine. Unlike factor._ansatz_search, the unknowns
+    are deliberately not pruned by Newton polytopes, so the systems stay
+    wide."""
+    rng = random.Random(seed)
+    q = (_random_factor(rng, rng.randint(1, 2)) * _random_factor(rng, 2)).monic()
+    qlm = q.leading_monomial()
+    for d in (1, 2):
+        for m in _monomials_upto(d):
+            if sum(m) == d and _engine.mono_divides(m, qlm):
+                unknowns = [u for u in _monomials_upto(d) if grlex_key(u) < grlex_key(m)]
+                unknowns.sort(key=grlex_key, reverse=True)
+                yield len(unknowns), _division_system(q, m, unknowns)
+
+
+def test_ansatz_systems_match_sympy_lex():
+    widths = set()
+    for seed in range(20):
+        for n, system in ansatz_systems(seed):
+            widths.add(n)
+            cs = sp.symbols(f"c0:{n}")
+
+            def sym(p):
+                return sp.Add(*(sp.Rational(c.numerator, c.denominator)
+                                * sp.Mul(*(v**e for v, e in zip(cs, m))) for m, c in p.items()))
+
+            ours = _engine.buchberger(system, _engine.lex_key)
+            theirs = sp.groebner([sym(p) for p in system], *cs, order="lex", domain="QQ")
+            expected = {sympy_monic(e, cs, "lex") for e in theirs.exprs}
+            assert {sp.expand(sym(b)) for b in ours} == expected, seed
+            assert _engine.certify(system, ours, _engine.lex_key), seed
+    assert max(widths) == 9
+
+
+def test_criteria_prune_pairs(monkeypatch):
+    # Output cannot show a dropped criterion, so count the reductions: one
+    # per S-polynomial reduced, plus one per basis element inter-reduced.
+    calls = []
+    reduce = _engine._reduce
+    monkeypatch.setattr(_engine, "_reduce", lambda *args: calls.append(1) or reduce(*args))
+    cases = [
+        # generators, order, and S-polynomials reduced; the former
+        # chain-criterion scan over the pairs done reduced 41 and 4
+        ([X**2 * Y - Z**2, X * Z**2 - Y**3 + 1, Y * Z - X**2 + 2], TermOrder.LEX, 34),
+        ([X + 2 * Y + 2 * Z - 1, X**2 + 2 * Y**2 + 2 * Z**2 - X, 2 * X * Y + 2 * Y * Z - Y],
+         TermOrder.GRLEX, 4),
+    ]
+    for gens, order, pairs in cases:
+        calls.clear()
+        G = buchberger(gens, order)
+        assert len(calls) - len(G.basis) == pairs
+        assert certify(G)
 
 
 @given(st.lists(polys, min_size=1, max_size=3), polys)
@@ -181,6 +257,21 @@ def test_membership_matches_sympy(gens, p):
     member = ideal_member(p, G)
     theirs = sp.groebner([to_sympy(g) for g in gens], SX, SY, SZ, order="grlex", domain="QQ")
     assert member == (theirs.reduce(to_sympy(p))[1] == 0)
+
+
+@given(st.lists(polys, min_size=1, max_size=2), polys)
+@example([2 * X + 1], X)
+@example([X * Y / 3 - Z, 2 * Y**2 + 3], X * Y**2 / 5 + Z**2)
+@settings(max_examples=20, deadline=None)
+def test_normal_form_matches_sympy_reduce(gens, p):
+    # the remainder itself, not only whether it is zero: the reduced basis
+    # makes it unique, so a scaled remainder fails
+    if all(g.is_zero() for g in gens):
+        return
+    for order in TermOrder:
+        G = buchberger(gens, order)
+        theirs = sp.groebner([to_sympy(g) for g in gens], SX, SY, SZ, order=order.value, domain="QQ")
+        assert to_sympy(normal_form(p, G)) == sp.expand(theirs.reduce(to_sympy(p))[1])
 
 
 @given(st.lists(polys, min_size=1, max_size=3))
