@@ -1,9 +1,11 @@
 """Gröbner machinery over raw exponent-tuple polynomials.
 
 Polynomials here are plain dicts mapping exponent tuples (any fixed width)
-to Fractions. The public three-variable API wraps this module; the
-factor-search ansatz reuses it with one tuple slot per unknown
-coefficient, which is why nothing in this file assumes width three.
+to Fractions; int coefficients are accepted wherever a Fraction is. The
+public three-variable API wraps this module; the factor-search ansatz
+reuses it with one tuple slot per unknown coefficient (its division is one
+_reduce call, its systems integer dicts), which is why nothing in this
+file assumes width three.
 
 Conventions: variable precedence follows tuple position (slot 0 highest).
 Buchberger keeps each basis element as a primitive integer polynomial with

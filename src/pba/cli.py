@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from .corpus import bundled_corpus_text, load_corpus, run_corpus
@@ -161,16 +160,15 @@ def _cmd_corpus(args) -> int:
             print(f"error: cannot read corpus: {exc}", file=sys.stderr)
             return 2
     try:
-        entries = load_corpus(text)
+        results = run_corpus(load_corpus(text))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    results = run_corpus(entries)
     if args.json:
         payload = [
             {"name": r.name, "passed": r.passed, "diffs": list(r.diffs)} for r in results
         ]
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(dumps(payload))
     else:
         for r in results:
             print(f"{'PASS' if r.passed else 'FAIL'}  {r.name}")

@@ -77,7 +77,10 @@ def _check_entry(entry: CorpusEntry) -> CorpusResult:
     diffs: list[str] = []
     s = parse(entry.s)
     t = parse(entry.t)
-    report = spectrum_report(s, t, list(entry.params), entry.max_deg)
+    try:
+        report = spectrum_report(s, t, list(entry.params), entry.max_deg)
+    except ValueError as exc:
+        raise ValueError(f"bad corpus entry {entry.name!r}: {exc}") from None
     stratum = report.residually_null
 
     want_dim = entry.expected.get("residually_null_dimension")
@@ -111,5 +114,6 @@ def _check_entry(entry: CorpusEntry) -> CorpusResult:
 
 
 def run_corpus(entries: list[CorpusEntry]) -> list[CorpusResult]:
-    """Evaluate all entries in turn; results sorted by entry name."""
+    """Evaluate all entries in turn; results sorted by entry name. Raises
+    ValueError, naming the entry, when an entry has no report."""
     return sorted((_check_entry(e) for e in entries), key=lambda r: r.name)

@@ -2,9 +2,10 @@
 
 After monomial extraction and squarefree decomposition, candidate factors
 of each squarefree part are searched degree by degree: a monic ansatz
-factor with unknown coefficients is divided into the target, and the
-vanishing of the remainder is a polynomial system in the unknowns, solved
-with the generic Gröbner engine (one ring variable per unknown).
+factor with unknown coefficients is divided into the target by the
+engine's one reduction routine, and the vanishing of the remainder is a
+polynomial system in the unknowns, solved with the generic Gröbner engine
+(one ring variable per unknown).
 
 Searching degrees up to floor(deg/2) finds a factor whenever one exists;
 the result is only marked complete when the requested bound reaches
@@ -86,32 +87,20 @@ def _in_slabs(e: Monomial, slabs: list[tuple[Monomial, int, int]]) -> bool:
     return all(lo <= w[0] * e[0] + w[1] * e[1] + w[2] * e[2] <= hi for w, lo, hi in slabs)
 
 
-def _division_system(q: Poly, lm3: Monomial, unknowns: list[Monomial]) -> list[_engine.Epoly]:
+def _division_system(q: Poly, lm3: Monomial, unknowns: list[Monomial]) -> list[dict[tuple, int]]:
     """Remainder of q under division by the symbolic monic factor
-    lm3 + sum c_i * unknowns[i], grouped into one polynomial in the c's
-    per leftover x,y,z monomial."""
+    lm3 + sum c_i * unknowns[i], grouped into one integer polynomial in the
+    c's per leftover x,y,z monomial. _engine._reduce divides, with one
+    exponent slot per c_i after x,y,z, under graded lex on x,y,z with the
+    c slots breaking ties. q enters as its integer numerators: a constant
+    multiple, which leaves the solutions of the system as they are."""
     n = len(unknowns)
     pad = (0,) * n
-    unit = [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    uterms = [(lm3, pad)] + [(unknowns[i], unit[i]) for i in range(n)]
-    work: dict[tuple, Fraction] = {tm + pad: c for tm, c in q.items()}
-    while True:
-        divisible = [mm for mm in {k[:3] for k in work} if _engine.mono_divides(lm3, mm)]
-        if not divisible:
-            break
-        big = max(divisible, key=grlex_key)
-        shift = _engine.mono_sub(big, lm3)
-        coef = [(k[3:], c) for k, c in work.items() if k[:3] == big]
-        for ce, cc in coef:
-            for um3, umc in uterms:
-                key = _engine.mono_add(um3, shift) + _engine.mono_add(umc, ce)
-                v = work.get(key, Fraction(0)) - cc
-                if v:
-                    work[key] = v
-                else:
-                    work.pop(key, None)
-    grouped: dict[Monomial, _engine.Epoly] = {}
-    for k, c in work.items():
+    tail = [(u + tuple(int(k == i) for k in range(n)), 1) for i, u in enumerate(unknowns)]
+    work = {m + pad: c for m, c in _engine._integers(q._terms).items()}
+    rem, _ = _engine._reduce(work, [(lm3 + pad, 1, tail)], lambda k: (k[0] + k[1] + k[2], k))
+    grouped: dict[Monomial, dict[tuple, int]] = {}
+    for k, c in rem.items():
         grouped.setdefault(k[:3], {})[k[3:]] = c
     return list(grouped.values())
 

@@ -509,16 +509,11 @@ def _first_variable(p: Poly, q: Poly) -> Union[int, None]:
 
 
 def _content_primitive(p: Poly, vi: int) -> tuple[Poly, Poly]:
-    """Content in the later variables, fixed only up to a rational unit,
-    and the primitive part in variable vi, cleared to coprime integer
-    coefficients. With constant coefficients the content is just the
-    first of them."""
+    """Content in the later variables, the monic gcd of the coefficients
+    in variable vi, and the primitive part in vi, cleared to coprime
+    integer coefficients."""
     coeffs = _as_univariate(p, vi)
-    content = Poly.zero()
-    for d in sorted(coeffs):
-        content = _gcd_prs(content, coeffs[d])
-        if content.is_constant():
-            break
+    content = gcd_many(coeffs[d] for d in sorted(coeffs))
     prim = exact_quotient(p, content)
     if prim is None:
         raise ArithmeticError(f"content {content} does not divide {p}")
@@ -555,7 +550,7 @@ def _primitive_part(r: dict[int, Poly], vi: int) -> Poly:
 
 def _gcd_prs(p: Poly, q: Poly) -> Poly:
     """gcd up to a rational unit by a primitive remainder sequence in the
-    first variable present, with the contents' gcd taken recursively."""
+    first variable present; the contents, in fewer variables, go to gcd."""
     if p.is_zero():
         return q
     if q.is_zero():
@@ -565,7 +560,7 @@ def _gcd_prs(p: Poly, q: Poly) -> Poly:
         return Poly.one()
     cp, pp = _content_primitive(p, vi)
     cq, pq = _content_primitive(q, vi)
-    cont = _gcd_prs(cp, cq)
+    cont = gcd(cp, cq)
     a, b = _as_univariate(pp, vi), _as_univariate(pq, vi)
     if max(a) < max(b):
         a, b = b, a
@@ -619,10 +614,7 @@ def squarefree_decomposition(p: Poly) -> tuple[Fraction, tuple[SquareFreePart, .
     layers = [p.monic()]
     while not layers[-1].is_constant():
         g = layers[-1]
-        h = g
-        for vi in range(3):
-            h = gcd(h, g.derivative(vi))
-        layers.append(h)
+        layers.append(gcd_many([g] + [g.derivative(vi) for vi in range(3)]))
     stripped = []
     for k in range(len(layers) - 1):
         q = exact_quotient(layers[k], layers[k + 1])

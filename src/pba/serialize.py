@@ -69,7 +69,7 @@ def report_payload(s: Poly, t: Poly, max_deg: int, report: SpectrumReport) -> di
     }
 
 
-def dumps(payload: dict) -> str:
+def dumps(payload: dict | list) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing
     newline. Loading and re-dumping a document reproduces it exactly."""
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -251,6 +251,22 @@ def test_corpus_malformed_file(tmp_path):
     assert "not valid JSON" in err
 
 
+@pytest.mark.parametrize("entry, message", [
+    ({"s": "x*y", "t": "x", "params": ["1:0"]}, "share the non-constant factor x"),
+    ({"s": "x", "t": "1", "params": ["1:0"], "max_deg": -1}, "negative degree bound"),
+    ({"s": "x", "t": "1", "params": ["0:1"]}, "must be a nonzero nonunit"),
+], ids=["not-coprime", "negative-max-deg", "unit-member"])
+def test_corpus_entry_without_report_is_a_usage_error(tmp_path, entry, message):
+    # spectrum exits 2 on the same input, and so does the corpus entry
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps([{"name": "bad", "expected": {}, **entry}]))
+    code, out, err = run_cli("corpus", "run", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad corpus entry 'bad': ") and message in err
+    argv = ["spectrum", "--s", entry["s"], "--t", entry["t"], "--params", entry["params"][0]]
+    assert run_cli(*argv, "--max-deg", str(entry.get("max_deg", 3)))[0] == 2
+
+
 def test_corpus_json_output():
     code, out, _ = run_cli("corpus", "run", "--json")
     data = json.loads(out)

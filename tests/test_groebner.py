@@ -1,6 +1,7 @@
 """Tests for the Groebner layer, cross-checked against sympy."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -194,10 +195,10 @@ def _random_factor(rng: random.Random, d: int) -> Poly:
 
 def ansatz_systems(seed: int):
     """The factor-search systems of a seeded product q at factor degrees 1
-    and 2: one unknown, so one ring variable, per monomial under each
-    candidate lead, up to nine. Unlike factor._ansatz_search, the unknowns
-    are deliberately not pruned by Newton polytopes, so the systems stay
-    wide."""
+    and 2, as (q, lead, unknowns, system): one unknown, so one ring
+    variable, per monomial under each candidate lead, up to nine. Unlike
+    factor._ansatz_search, the unknowns are deliberately not pruned by
+    Newton polytopes, so the systems stay wide."""
     rng = random.Random(seed)
     q = (_random_factor(rng, rng.randint(1, 2)) * _random_factor(rng, 2)).monic()
     qlm = q.leading_monomial()
@@ -206,13 +207,40 @@ def ansatz_systems(seed: int):
             if sum(m) == d and _engine.mono_divides(m, qlm):
                 unknowns = [u for u in _monomials_upto(d) if grlex_key(u) < grlex_key(m)]
                 unknowns.sort(key=grlex_key, reverse=True)
-                yield len(unknowns), _division_system(q, m, unknowns)
+                yield q, m, unknowns, _division_system(q, m, unknowns)
+
+
+def test_division_systems_match_sympy_reduced():
+    # Each member is the coefficient, a polynomial in the c's, of one x,y,z
+    # monomial of the remainder of q by lm + sum c_i * u_i under grlex; the
+    # members may differ from sympy's by one rational factor in all.
+    for seed in range(20):
+        for q, m, unknowns, system in ansatz_systems(seed):
+            cs = sp.symbols(f"c0:{len(unknowns)}")
+            factor = to_sympy(Poly.term(1, m)) + sum(
+                c * to_sympy(Poly.term(1, u)) for c, u in zip(cs, unknowns))
+            _, r = sp.reduced(to_sympy(q), [factor], SX, SY, SZ, order="grlex",
+                              domain=sp.QQ[cs])
+            theirs = [sp.Poly(c, *cs).as_dict()
+                      for c in sp.Poly(r, SX, SY, SZ).as_dict().values()] if r else []
+
+            def members(polys, scale):
+                return Counter(frozenset((k, scale * sp.Rational(c.numerator, c.denominator))
+                                         for k, c in p.items()) for p in polys)
+
+            if not system:
+                assert not theirs, seed
+                continue
+            k, c = next(iter(system[0].items()))
+            ours = members(system, 1)
+            assert any(members(theirs, c / p[k]) == ours for p in theirs if k in p), seed
 
 
 def test_ansatz_systems_match_sympy_lex():
     widths = set()
     for seed in range(20):
-        for n, system in ansatz_systems(seed):
+        for _, _, unknowns, system in ansatz_systems(seed):
+            n = len(unknowns)
             widths.add(n)
             cs = sp.symbols(f"c0:{n}")
 
