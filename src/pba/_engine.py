@@ -1,22 +1,21 @@
 """Gröbner machinery over raw exponent-tuple polynomials.
 
-Polynomials here are plain dicts mapping exponent tuples (any fixed width)
-to Fractions; int coefficients are accepted wherever a Fraction is. The
-public three-variable API wraps this module; the factor-search ansatz
-reuses it with one tuple slot per unknown coefficient (its division is one
-_reduce call, its systems integer dicts), which is why nothing in this
-file assumes width three.
+An Epoly is a dict mapping exponent tuples (any fixed width) to nonzero
+ints or Fractions: callers pass a Poly's integer numerators, a constant
+multiple of it, and the solver passes back the monic Fraction bases it
+makes. The public three-variable API wraps this module; the factor-search
+ansatz reuses it with one tuple slot per unknown coefficient (its division
+is one _reduce call), which is why nothing here assumes width three.
 
 Conventions: variable precedence follows tuple position (slot 0 highest).
 Buchberger keeps each basis element as a primitive integer polynomial with
 its lead alongside, reduces fraction-free, and makes Fractions only for the
 monic reduced basis it returns. Pairs go smallest lcm first and are pruned
 by the Gebauer-Moller update (J. Symb. Comp. 6, 1988). The public
-normal_form and certify clear denominators and use the same reduction.
+normal_form and certify use the same reduction.
 
-Inputs are read-only: no function here mutates a polynomial it is given,
-and every polynomial it returns is a fresh dict. So callers may pass the
-term dicts of immutable polynomials without copying them.
+Inputs are read-only and every polynomial returned is a fresh dict, so
+callers may pass the term dicts of immutable polynomials uncopied.
 """
 
 from __future__ import annotations
@@ -27,10 +26,10 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd as igcd, isqrt, lcm
 from operator import add, le, sub
-from typing import Collection
+from typing import Collection, Union
 
 Mono = tuple[int, ...]
-Epoly = dict[Mono, Fraction]
+Epoly = dict[Mono, Union[int, Fraction]]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -61,10 +60,6 @@ def mono_sub(a: Mono, b: Mono) -> Mono:
     return tuple(map(sub, a, b))
 
 
-def lead(p: Epoly, key) -> Mono:
-    return max(p, key=key)
-
-
 def integer_numerators(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
     """The lcm den of the denominators, and c * den for each c in coeffs,
     in their order."""
@@ -72,29 +67,14 @@ def integer_numerators(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
     return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
-def clear_denominators(p: Epoly, key) -> Epoly:
-    """Scale to a primitive integer polynomial with positive leading
-    coefficient under the given order."""
-    if not p:
-        return {}
-    nums = integer_numerators(p.values())[1]
-    g = igcd(*nums)
-    if p[lead(p, key)] < 0:
-        g = -g
-    return {m: Fraction(n // g) for m, n in zip(p, nums)}
-
-
 Reducer = tuple[Mono, int, list[tuple[Mono, int]]]
 
 
-def _integers(p: Epoly) -> dict[Mono, int]:
-    return dict(zip(p, integer_numerators(p.values())[1]))
-
-
-def _reducer(p: dict[Mono, int], key) -> Reducer:
-    """Nonzero integer p over its content, signed so that its lead
-    coefficient is positive, as (lead, lead coefficient, other terms)."""
+def _reducer(p: Epoly, key) -> Reducer:
+    """Nonzero p cleared to a primitive integer polynomial with positive
+    lead coefficient, as (lead, lead coefficient, other terms)."""
     lm = max(p, key=key)
+    p = dict(zip(p, integer_numerators(p.values())[1]))
     g = igcd(*p.values()) if p[lm] > 0 else -igcd(*p.values())
     return lm, p[lm] // g, [(m, c // g) for m, c in p.items() if m != lm]
 
@@ -160,13 +140,11 @@ def _spoly(a: Reducer, b: Reducer, big: Mono) -> dict[Mono, int]:
     return out
 
 
-def normal_form(p: Epoly, basis: list[Epoly], key) -> Epoly:
-    """Full remainder of p under division by the basis, scanning divisors
-    in basis order; unique when the basis is a Gröbner basis."""
-    den, nums = integer_numerators(p.values())
-    reducers = [_reducer(_integers(b), key) for b in basis]
-    rem, scale = _reduce(dict(zip(p, nums)), reducers, key)
-    return {m: Fraction(c, den * scale) for m, c in rem.items()}
+def normal_form(p: dict[Mono, int], basis: list[Epoly], key) -> tuple[dict[Mono, int], int]:
+    """Full remainder of integer p under division by the basis, scanning
+    divisors in basis order, as (r, s) for the remainder r / s; unique when
+    the basis is a Gröbner basis."""
+    return _reduce(p, [_reducer(b, key) for b in basis], key)
 
 
 def buchberger(gens: list[Epoly], key) -> list[Epoly]:
@@ -202,7 +180,7 @@ def buchberger(gens: list[Epoly], key) -> list[Epoly]:
 
     for g in gens:
         if g:
-            update(_reducer(_integers(g), key))
+            update(_reducer(g, key))
     while pending:
         _, i, j, big = heapq.heappop(pending)
         r, _ = _reduce(_spoly(polys[i], polys[j], big), [polys[k] for k in live], key)
@@ -222,15 +200,15 @@ def buchberger(gens: list[Epoly], key) -> list[Epoly]:
 
 
 def is_unit(basis: list[Epoly], key) -> bool:
-    return len(basis) == 1 and len(basis[0]) == 1 and sum(lead(basis[0], key)) == 0
+    return len(basis) == 1 and len(basis[0]) == 1 and sum(max(basis[0], key=key)) == 0
 
 
 def certify(gens: list[Epoly], basis: list[Epoly], key) -> bool:
-    """Gröbner certificate: every input generator and every S-polynomial
-    of the basis reduces to zero against the basis."""
-    reducers = [_reducer(_integers(b), key) for b in basis]
+    """Gröbner certificate: every input generator, given as integers, and
+    every S-polynomial of the basis reduces to zero against the basis."""
+    reducers = [_reducer(b, key) for b in basis]
     for g in gens:
-        if g and _reduce(_integers(g), reducers, key)[0]:
+        if g and _reduce(g, reducers, key)[0]:
             return False
     for j, b in enumerate(reducers):
         for a in reducers[:j]:
@@ -244,7 +222,7 @@ def dimension(basis: list[Epoly], nvars: int, key) -> int:
     independent of the leading-term ideal; -1 for the unit ideal."""
     if is_unit(basis, key):
         return -1
-    lts = [lead(b, key) for b in basis]
+    lts = [max(b, key=key) for b in basis]
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lts]
     best = 0
     for mask in range(2 ** nvars):

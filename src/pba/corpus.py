@@ -57,6 +57,14 @@ def load_corpus(text: str) -> list[CorpusEntry]:
         try:
             parse(item["s"])
             parse(item["t"])
+            expected = dict(item["expected"])
+            for key, rows in expected.get("height_one", {}).items():
+                PencilParameter.parse(key)
+                for row in rows:
+                    parse(row["generator"])
+                    m = row["multiplicity"]
+                    if type(m) is not int or m < 1 or type(row["primitive"]) is not bool:
+                        raise ValueError(f"height_one[{key}]: needs int multiplicity >= 1, bool primitive")
             entries.append(
                 CorpusEntry(
                     name=item["name"],
@@ -64,12 +72,13 @@ def load_corpus(text: str) -> list[CorpusEntry]:
                     t=item["t"],
                     params=tuple(PencilParameter.parse(q) for q in item["params"]),
                     max_deg=int(item.get("max_deg", 3)),
-                    expected=dict(item["expected"]),
+                    expected=expected,
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:
             name = item.get("name", "?") if isinstance(item, dict) else "?"
-            raise ValueError(f"bad corpus entry {name!r}: {exc}") from None
+            why = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise ValueError(f"bad corpus entry {name!r}: {why}") from None
     return entries
 
 
@@ -103,7 +112,7 @@ def _check_entry(entry: CorpusEntry) -> CorpusResult:
             diffs.append(f"height_one[{param}]: parameter missing from report")
             continue
         want = sorted(
-            (str(parse(r["generator"])), int(r["multiplicity"]), bool(r["primitive"]))
+            (str(parse(r["generator"])), r["multiplicity"], r["primitive"])
             for r in want_rows
         )
         got = sorted((str(r.generator), r.multiplicity, r.primitive) for r in got_rows)

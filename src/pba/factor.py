@@ -1,17 +1,15 @@
 """Bounded factorization over Q by undetermined coefficients.
 
-After monomial extraction and squarefree decomposition, candidate factors
-of each squarefree part are searched degree by degree: a monic ansatz
-factor with unknown coefficients is divided into the target by the
-engine's one reduction routine, and the vanishing of the remainder is a
-polynomial system in the unknowns, solved with the generic Gröbner engine
-(one ring variable per unknown).
+After monomial extraction and squarefree decomposition, the factors of
+each squarefree part are searched degree by degree: a monic ansatz factor
+with unknown coefficients divides the target in the engine's reduction
+routine, and the remainder's vanishing is a system in the unknowns (one
+ring variable each), solved with the Gröbner engine.
 
-Searching degrees up to floor(deg/2) finds a factor whenever one exists;
-the result is only marked complete when the requested bound reaches
-ceil(deg/2) for every remaining cofactor. The same systems decide
-absolute irreducibility exactly: a unit ansatz ideal at every degree
-means no factor exists over any field extension, while a proper ideal
+Degrees up to floor(deg/2) find a factor whenever one exists; the result
+is complete only when the bound reaches ceil(deg/2) for every cofactor.
+The same systems decide absolute irreducibility: a unit ideal at every
+degree means no factor over any extension field, while a proper ideal
 with no rational point (e.g. x^2 - 2) leaves the factor irreducible over
 Q but not certified absolutely irreducible.
 
@@ -39,8 +37,6 @@ from math import gcd
 
 from . import _engine
 from .poly import Monomial, Poly, exact_quotient, grlex_key, squarefree_decomposition
-
-_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -78,7 +74,7 @@ def _newton_slabs(q: Poly) -> list[tuple[Monomial, int, int]]:
     """(w, min, max) of w . e over the monomials e of q, per direction w."""
     out = []
     for w in _DIRECTIONS:
-        dots = [w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e, _ in q.items()]
+        dots = [w[0] * e[0] + w[1] * e[1] + w[2] * e[2] for e in q._num]
         out.append((w, min(dots), max(dots)))
     return out
 
@@ -97,7 +93,7 @@ def _division_system(q: Poly, lm3: Monomial, unknowns: list[Monomial]) -> list[d
     n = len(unknowns)
     pad = (0,) * n
     tail = [(u + tuple(int(k == i) for k in range(n)), 1) for i, u in enumerate(unknowns)]
-    work = {m + pad: c for m, c in _engine._integers(q._terms).items()}
+    work = {m + pad: c for m, c in q._num.items()}
     rem, _ = _engine._reduce(work, [(lm3 + pad, 1, tail)], lambda k: (k[0] + k[1] + k[2], k))
     grouped: dict[Monomial, dict[tuple, int]] = {}
     for k, c in rem.items():
@@ -130,12 +126,7 @@ def _ansatz_search(q: Poly, d: int) -> tuple[Poly | None, bool]:
             continue
         points, _, _ = _engine.solve_rational(basis, len(unknowns))
         if points:
-            sol = points[0]
-            terms = {m: _ONE}
-            for i, mm in enumerate(unknowns):
-                if sol[i]:
-                    terms[mm] = sol[i]
-            return Poly(terms), proper_seen
+            return Poly([(m, 1), *zip(unknowns, points[0])]), proper_seen
         proper_seen = True
     return None, proper_seen
 
@@ -171,12 +162,12 @@ def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if max_total_degree < 0:
         raise ValueError("negative degree bound")
-    monomials = [m for m, _ in p.items()]
+    monomials = list(p._num)
     mins = [min(m[vi] for m in monomials) for vi in range(3)]
     parts: list[FactorPart] = []
     shifted = p
     if any(mins):
-        shifted = Poly._make({(m[0] - mins[0], m[1] - mins[1], m[2] - mins[2]): c for m, c in p.items()})
+        shifted = Poly._make({(m[0] - mins[0], m[1] - mins[1], m[2] - mins[2]): c for m, c in p._num.items()}, p._den)
         for vi, a in enumerate(mins):
             if a:
                 parts.append(FactorPart(Poly.variable(vi), a, True))

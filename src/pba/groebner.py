@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from . import _engine
@@ -38,14 +37,14 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = TermOrder.GRLEX) -> Groe
     gens = tuple(gens)
     if not gens:
         raise ValueError("empty generator list")
-    basis = _engine.buchberger([g._terms for g in gens], _KEYS[order])
-    return GroebnerBasis(gens, tuple(Poly._make(b) for b in basis), order)
+    basis = _engine.buchberger([g._num for g in gens], _KEYS[order])
+    return GroebnerBasis(gens, tuple(map(Poly, basis)), order)
 
 
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
     """Unique remainder of p modulo the ideal; zero iff p is a member."""
-    raw = _engine.normal_form(p._terms, [b._terms for b in G.basis], _KEYS[G.order])
-    return Poly._make(raw)
+    rem, scale = _engine.normal_form(p._num, [b._num for b in G.basis], _KEYS[G.order])
+    return Poly._make(rem, p._den * scale)
 
 
 def ideal_member(p: Poly, G: GroebnerBasis) -> bool:
@@ -59,14 +58,14 @@ def is_unit_ideal(G: GroebnerBasis) -> bool:
 def dimension(G: GroebnerBasis) -> int:
     """Krull dimension of the quotient; -1 encodes the unit ideal, 3 the
     zero ideal."""
-    return _engine.dimension([b._terms for b in G.basis], 3, _KEYS[G.order])
+    return _engine.dimension([b._num for b in G.basis], 3, _KEYS[G.order])
 
 
 def certify(G: GroebnerBasis) -> bool:
     """Check the Gröbner property directly: all S-polynomials of the basis
     and all original generators reduce to zero."""
-    gens = [g._terms for g in G.generators]
-    return _engine.certify(gens, [b._terms for b in G.basis], _KEYS[G.order])
+    gens = [g._num for g in G.generators]
+    return _engine.certify(gens, [b._num for b in G.basis], _KEYS[G.order])
 
 
 @dataclass(frozen=True)
@@ -88,15 +87,8 @@ def rational_points(G: GroebnerBasis) -> RationalPoints:
     extraction and back-substitution."""
     if dimension(G) != 0:
         raise ValueError("ideal is not zero-dimensional")
-    pts, complete, sink = _engine.solve_rational([g._terms for g in G.generators], 3)
-    eliminants = []
-    for var_index, coeffs in sink:
-        terms = {}
-        for i, c in enumerate(coeffs):
-            if c:
-                mono = [0, 0, 0]
-                mono[var_index] = i
-                terms[tuple(mono)] = c
-        eliminants.append(Poly._make(terms))
+    pts, complete, sink = _engine.solve_rational([g._num for g in G.generators], 3)
+    eliminants = [Poly((tuple(i * (v == var) for v in range(3)), c) for i, c in enumerate(coeffs))
+                  for var, coeffs in sink]
     points = tuple((p[0], p[1], p[2]) for p in pts)
     return RationalPoints(points, complete, tuple(eliminants))

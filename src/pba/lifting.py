@@ -25,10 +25,9 @@ of the sum. The remaining product stays in Fraction: the d of weight w+1
 against b_000 in the x-equation, and the b of weight w against d_010 or
 d_001 in the y- and z-equations.
 
-A TruncatedSeries is a Poly and a cap, and its product is the Poly
-product kernel, poly.product_terms, given that cap. verify_lift checks a
-lift with that generic product only, so the check shares no code with
-the lift kernel.
+A TruncatedSeries is a Poly and a cap; its product convolves the Poly
+numerators with poly.product_terms given that cap. verify_lift checks a
+lift with that product only, sharing no code with the lift kernel.
 """
 
 from __future__ import annotations
@@ -114,8 +113,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_cap(other)
-        terms = product_terms(self._poly._terms, other._poly._terms, self._cap)
-        return TruncatedSeries._make(Poly._make(terms), self._cap)
+        a, b = self._poly, other._poly
+        return TruncatedSeries._make(Poly._make(product_terms(a._num, b._num, self._cap), a._den * b._den), self._cap)
 
     def derivative(self, var: Union[str, int]) -> "TruncatedSeries":
         """Partial derivative; the cap drops by one because the top slice
@@ -141,7 +140,7 @@ def truncate(p: Poly, cap: int) -> TruncatedSeries:
     """View a polynomial in the completion, chopped at total degree cap."""
     if cap < 0:
         raise ValueError("cap must be non-negative")
-    return TruncatedSeries._make(Poly._make({m: c for m, c in p.items() if sum(m) <= cap}), cap)
+    return TruncatedSeries._make(Poly._make({m: n for m, n in p._num.items() if sum(m) <= cap}, p._den), cap)
 
 
 @dataclass(frozen=True)
@@ -176,6 +175,11 @@ def _integer_slice(coeffs: Mapping[Monomial, Fraction], u: int) -> tuple[list[Mo
     mons = [(u - a, a - k, k) for a in range(u + 1) for k in range(a + 1)]
     den, nums = integer_numerators([coeffs[m] for m in mons])
     return mons, nums, den
+
+
+def _from_slices(slices) -> Poly:
+    den = lcm(*(s[2] for s in slices))
+    return Poly._make({m: n * (den // sd) for ms, ns, sd in slices for m, n in zip(ms, ns) if n}, den)
 
 
 _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
@@ -283,8 +287,8 @@ def lift_at_origin(F, weight: int) -> LiftResult:
         bw.append(_integer_slice(b, w))
         dw.append(_integer_slice(d, w + 1))
 
-    bs = TruncatedSeries._make(Poly._make({m: c for m, c in b.items() if c}), weight)
-    ds = TruncatedSeries._make(Poly._make({m: c for m, c in d.items() if c}), weight + 1)
+    bs = TruncatedSeries._make(_from_slices(bw), weight)
+    ds = TruncatedSeries._make(_from_slices(dw), weight + 1)
     return LiftResult(b=bs, d=ds, weight=weight, conventions=tuple(conventions))
 
 

@@ -12,7 +12,8 @@ than '*'):
 A leading '-' is sugar for 0 - expr. '/' is only the rational-constant
 separator; dividing non-constant terms is reported as a dedicated error.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
-descent well inside the interpreter's recursion limit.
+descent well inside the interpreter's recursion limit; no product or
+power may multiply more than MAX_TERM_PAIRS term pairs.
 render() is the canonical inverse: graded-lex descending term order,
 reduced coefficients, explicit '*'. parse(render(p)) == p.
 """
@@ -20,6 +21,7 @@ reduced coefficients, explicit '*'. parse(render(p)) == p.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .poly import Poly
 
@@ -39,6 +41,23 @@ class ParseError(ValueError):
 
 
 MAX_NESTING = 100
+# term pairs of one product, or of one power over all its steps
+MAX_TERM_PAIRS = 10**6
+
+
+def _power_cost(p: Poly, e: int) -> tuple[int, int]:
+    """Bounds on the term pairs p**e multiplies, counted until past the
+    limit, and on its terms: with n terms, degree d and v variables, p^k
+    has at most min(C(k+n-1, k), C(kd+v, v)) terms."""
+    n, d, v = len(p), p.total_degree(), len(p.variables())
+    pairs, terms = 0, 1
+    for k in range(1, e + 1):
+        pairs += n * terms
+        terms = min(comb(k + n - 1, k), comb(k * d + v, v))
+        if pairs > MAX_TERM_PAIRS:
+            break
+    return pairs, terms
+
 
 _NUM = "NUM"
 _VAR = "VAR"
@@ -93,6 +112,10 @@ class _Parser:
         found = "end of input" if kind == _EOF else repr(value)
         raise ParseError(offset, expected, found, note)
 
+    def bound(self, offset: int, pairs: int) -> None:
+        if pairs > MAX_TERM_PAIRS:
+            raise ParseError(offset, (), "", f"expansion past {MAX_TERM_PAIRS} term pairs")
+
     def expr(self) -> Poly:
         kind, _, _ = self.peek()
         if kind == "-":
@@ -117,26 +140,31 @@ class _Parser:
             kind, _, offset = self.peek()
             if kind == "*":
                 self.take()
-                total = total * self.factor()
+                total = total * self.factor(len(total))
             elif kind == "/":
                 raise ParseError(offset, ("'+'", "'-'", "'*'"), "'/'",
                                  "division of non-constant terms (use rational coefficients like 1/2)")
             else:
                 return total
 
-    def factor(self) -> Poly:
+    def factor(self, left: int = 1) -> Poly:
+        # left: terms of the product this factor joins, bounded first
         base = self.base()
-        kind, _, _ = self.peek()
-        if kind == "^":
-            self.take()
-            kind, value, offset = self.peek()
-            if kind == "-":
-                raise ParseError(offset, ("unsigned integer",), "'-'", "negative exponent")
-            if kind != _NUM:
-                self.fail(("unsigned integer exponent",))
-            self.take()
-            return base ** int(value)
-        return base
+        kind, _, offset = self.peek()
+        if kind != "^":
+            self.bound(offset, left * len(base))
+            return base
+        self.take()
+        kind, value, offset = self.peek()
+        if kind == "-":
+            raise ParseError(offset, ("unsigned integer",), "'-'", "negative exponent")
+        if kind != _NUM:
+            self.fail(("unsigned integer exponent",))
+        self.take()
+        e = int(value)
+        pairs, terms = _power_cost(base, e) if len(base) > 1 else (0, len(base))
+        self.bound(offset, max(pairs, left * terms))
+        return base**e
 
     def base(self) -> Poly:
         kind, value, offset = self.peek()

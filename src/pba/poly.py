@@ -1,16 +1,19 @@
 """Sparse polynomials over Q in the three fixed variables x, y, z.
 
-Coefficients are exact rationals (fractions.Fraction), monomials are
-exponent triples, and every polynomial is kept in canonical form: no zero
-coefficients are stored, so structural equality is value equality.
-Display and leading-term conventions use graded lexicographic order with
-x > y > z throughout.
+A polynomial is a dict from exponent triples to nonzero int numerators
+over one positive int denominator, with gcd(den, *numerators) == 1, so
+each value has one form and equality is structural; zero is ({}, 1).
+Arithmetic, exact division and the gcd run on Python ints; a Fraction is
+made only where a coefficient leaves the class (items, coeff,
+leading_coefficient, evaluate). Display and leading terms use graded lex
+order with x > y > z.
 
-Products are summed as integers: each operand is brought to integer
-numerators over the lcm of its denominators, the numerators are convolved
-as Python ints, and each output coefficient becomes one Fraction over the
-product of the two denominators. The same kernel, given a total-degree
-cap, is the product of truncated power series in `lifting`.
+A product convolves the numerators (product_terms) over the product of
+the denominators; given a total-degree cap, the same kernel multiplies
+truncated power series in `lifting`. exact_quotient divides by the
+divisor's primitive part over Z, and by Gauss's lemma stops at the first
+lead coefficient that does not divide (Geddes, Czapor & Labahn,
+"Algorithms for Computer Algebra", 1992).
 """
 
 from __future__ import annotations
@@ -19,19 +22,18 @@ import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd as igcd, lcm
 from typing import Iterable, Iterator, Union
 
-from ._engine import clear_denominators, grlex_key, integer_numerators
+from ._engine import grlex_key
 
 Monomial = tuple[int, int, int]
 ScalarLike = Union[Fraction, int]
 Point = tuple[Fraction, Fraction, Fraction]
+Terms = dict[Monomial, int]
 
 VARS = ("x", "y", "z")
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 _ORIGIN_MONO: Monomial = (0, 0, 0)
 
 
@@ -48,29 +50,35 @@ def _var_index(var: Union[str, int]) -> int:
 class Poly:
     """Immutable element of Q[x, y, z]."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, terms: Union[Mapping[Monomial, ScalarLike], Iterable[tuple[Monomial, ScalarLike]], None] = None):
-        data: dict[Monomial, Fraction] = {}
+        data: dict = {}
         if terms is not None:
-            items = terms.items() if isinstance(terms, Mapping) else terms
-            for mono, coeff in items:
+            for mono, coeff in terms.items() if isinstance(terms, Mapping) else terms:
                 i, j, k = int(mono[0]), int(mono[1]), int(mono[2])
                 if i < 0 or j < 0 or k < 0:
                     raise ValueError(f"negative exponent in monomial {mono}")
-                key = (i, j, k)
-                c = data.get(key, _ZERO) + Fraction(coeff)
-                if c:
-                    data[key] = c
-                else:
-                    data.pop(key, None)
-        self._terms = data
+                data[i, j, k] = data.get((i, j, k), 0) + Fraction(coeff)
+        data = {m: c for m, c in data.items() if c}
+        # the lcm of reduced denominators is coprime to the numerators
+        self._den = den = lcm(*(c.denominator for c in data.values()))
+        self._num = {m: c.numerator * (den // c.denominator) for m, c in data.items()}
 
     @classmethod
-    def _make(cls, data: dict[Monomial, Fraction]) -> "Poly":
-        # trusted constructor: data is already canonical
+    def _make(cls, num: Terms, den: int = 1) -> "Poly":
+        # num / den in canonical form, for nonzero numerators and den != 0
+        if den < 0:
+            den = -den
+            num = {m: -n for m, n in num.items()}
+        if den != 1:
+            g = igcd(den, *num.values())
+            if g != 1:
+                num = {m: n // g for m, n in num.items()}
+                den //= g
         p = cls.__new__(cls)
-        p._terms = data
+        p._num = num
+        p._den = den
         return p
 
     # -- constructors ------------------------------------------------
@@ -81,18 +89,19 @@ class Poly:
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls._make({_ORIGIN_MONO: _ONE})
+        return cls._make({_ORIGIN_MONO: 1})
 
     @classmethod
     def constant(cls, c: ScalarLike) -> "Poly":
-        c = Fraction(c)
-        return cls._make({_ORIGIN_MONO: c} if c else {})
+        if not isinstance(c, int):
+            c = Fraction(c)
+        return cls._make({_ORIGIN_MONO: c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def variable(cls, var: Union[str, int]) -> "Poly":
         mono = [0, 0, 0]
         mono[_var_index(var)] = 1
-        return cls._make({tuple(mono): _ONE})
+        return cls._make({tuple(mono): 1})
 
     @classmethod
     def term(cls, coeff: ScalarLike, mono: Monomial) -> "Poly":
@@ -101,177 +110,149 @@ class Poly:
     # -- inspection --------------------------------------------------
 
     def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return iter(self._terms.items())
+        return ((m, Fraction(n, self._den)) for m, n in self._num.items())
 
     def coeff(self, mono: Monomial) -> Fraction:
-        return self._terms.get(tuple(mono), _ZERO)
+        return Fraction(self._num.get(tuple(mono), 0), self._den)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_constant(self) -> bool:
-        return all(m == _ORIGIN_MONO for m in self._terms)
+        return all(m == _ORIGIN_MONO for m in self._num)
 
     def constant_term(self) -> Fraction:
-        return self._terms.get(_ORIGIN_MONO, _ZERO)
+        return self.coeff(_ORIGIN_MONO)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(m[0] + m[1] + m[2] for m in self._terms)
+        return max((m[0] + m[1] + m[2] for m in self._num), default=-1)
 
     def degree_in(self, var: Union[str, int]) -> int:
         vi = _var_index(var)
-        if not self._terms:
-            return -1
-        return max(m[vi] for m in self._terms)
+        return max((m[vi] for m in self._num), default=-1)
 
     def variables(self) -> tuple[int, ...]:
         """Indices of the variables that actually occur."""
-        used = [vi for vi in range(3) if any(m[vi] for m in self._terms)]
-        return tuple(used)
+        return tuple(vi for vi in range(3) if any(m[vi] for m in self._num))
 
     def leading_monomial(self) -> Monomial:
-        if not self._terms:
+        if not self._num:
             raise ValueError("zero polynomial has no leading monomial")
-        return max(self._terms, key=grlex_key)
+        return max(self._num, key=grlex_key)
 
     def leading_coefficient(self) -> Fraction:
-        return self._terms[self.leading_monomial()]
+        return self.coeff(self.leading_monomial())
 
     def __len__(self) -> int:
-        return len(self._terms)
+        return len(self._num)
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- arithmetic --------------------------------------------------
 
-    def _coerce(self, other) -> "Poly":
-        if isinstance(other, Poly):
-            return other
+    def _add(self, other, sign: int):
         if isinstance(other, (int, Fraction)):
-            return Poly.constant(other)
-        return NotImplemented
+            other = Poly.constant(other)
+        elif not isinstance(other, Poly):
+            return NotImplemented
+        den = lcm(self._den, other._den)
+        sa, sb = den // self._den, sign * den // other._den
+        num = dict(self._num) if sa == 1 else {m: n * sa for m, n in self._num.items()}
+        for m, n in other._num.items():
+            v = num.get(m, 0) + n * sb
+            if v:
+                num[m] = v
+            else:
+                del num[m]
+        return Poly._make(num, den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        data = dict(self._terms)
-        for m, c in other._terms.items():
-            nc = data.get(m, _ZERO) + c
-            if nc:
-                data[m] = nc
-            else:
-                data.pop(m, None)
-        return Poly._make(data)
+        return self._add(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._make({m: -c for m, c in self._terms.items()})
+        return self * -1
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        return self._add(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, Poly):
+            return Poly._make(product_terms(self._num, other._num), self._den * other._den)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
+            if not other:
                 return Poly.zero()
-            return Poly._make({m: cc * c for m, cc in self._terms.items()})
-        if not isinstance(other, Poly):
-            return NotImplemented
-        cap = self.total_degree() + other.total_degree()
-        return Poly._make(product_terms(self._terms, other._terms, cap))
+            c = other.numerator
+            return Poly._make({m: n * c for m, n in self._num.items()}, self._den * other.denominator)
+        return NotImplemented
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                raise ZeroDivisionError("division by zero scalar")
-            return self * (1 / c)
+            return self * Fraction(1, other)
         return NotImplemented
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
+    def __pow__(self, e: int):
+        # repeated multiplication, cheaper than squaring on sparse input
+        # (Fateman, Stud. Appl. Math. 53, 1974); one term is raised directly
+        if not isinstance(e, int):
             return NotImplemented
-        if exponent < 0:
+        if e < 0:
             raise ValueError("negative exponent")
+        if len(self._num) == 1:
+            ((i, j, k), n), = self._num.items()
+            return Poly._make({(i * e, j * e, k * e): n**e}, self._den**e)
         result = Poly.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
+        for _ in range(e):
+            result = result * self
         return result
 
     def monic(self) -> "Poly":
         """Scale so the graded-lex leading coefficient is 1."""
-        if not self._terms:
+        if not self._num:
             return self
-        lc = self.leading_coefficient()
-        if lc == 1:
-            return self
-        return self * (1 / lc)
+        lc = self._num[self.leading_monomial()]
+        return self if lc == self._den else Poly._make(self._num, lc)
 
     # -- calculus and evaluation -------------------------------------
 
     def derivative(self, var: Union[str, int]) -> "Poly":
         """Partial derivative with respect to x, y, or z."""
         vi = _var_index(var)
-        out: dict[Monomial, Fraction] = {}
-        for m, c in self._terms.items():
-            e = m[vi]
-            if e:
-                nm = list(m)
-                nm[vi] = e - 1
-                out[tuple(nm)] = c * e
-        return Poly._make(out)
+        return Poly._make({m[:vi] + (m[vi] - 1,) + m[vi + 1:]: n * m[vi]
+                           for m, n in self._num.items() if m[vi]}, self._den)
 
     def evaluate(self, point: Iterable[ScalarLike]) -> Fraction:
         a, b, c = (Fraction(v) for v in point)
-        total = _ZERO
-        for (i, j, k), coeff in self._terms.items():
-            total += coeff * a**i * b**j * c**k
-        return total
+        total = sum(n * a**i * b**j * c**k for (i, j, k), n in self._num.items())
+        return Fraction(total) / self._den
 
     def translate(self, point: Iterable[ScalarLike]) -> "Poly":
-        """Shift of variables: returns p(x+a, y+b, z+c) for point (a, b, c)."""
-        shift = [Fraction(v) for v in point]
-        bases = [Poly.variable(vi) + Poly.constant(shift[vi]) for vi in range(3)]
-        pows: list[dict[int, Poly]] = [{0: Poly.one()} for _ in range(3)]
-
-        def power(vi: int, e: int) -> "Poly":
-            cache = pows[vi]
-            while e not in cache:
-                n = max(cache)
-                cache[n + 1] = cache[n] * bases[vi]
-            return cache[e]
-
-        total = Poly.zero()
-        for (i, j, k), coeff in self._terms.items():
-            total = total + power(0, i) * power(1, j) * power(2, k) * coeff
-        return total
+        """Shift of variables: returns p(x+a, y+b, z+c) for point (a, b, c),
+        by Horner's rule in one variable at a time."""
+        p = self
+        for vi, a in enumerate(point):
+            if a and p:
+                cs = _as_univariate(p, vi)
+                v = Poly.variable(vi) + Fraction(a)
+                p = Poly.zero()
+                for e in range(max(cs), -1, -1):
+                    p = p * v + cs.get(e, 0)
+        return p
 
     def substitute_exponents(self, perm: tuple[int, int, int]) -> "Poly":
         """Permute variables: exponent triple m maps to m reordered by perm.
 
         perm gives, for each output slot, the input slot it reads from.
         """
-        return Poly._make({(m[perm[0]], m[perm[1]], m[perm[2]]): c for m, c in self._terms.items()})
+        return Poly._make({(m[perm[0]], m[perm[1]], m[perm[2]]): n for m, n in self._num.items()}, self._den)
 
     # -- value semantics ----------------------------------------------
 
@@ -280,10 +261,10 @@ class Poly:
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        return hash((frozenset(self._num.items()), self._den))
 
     def __repr__(self):
         return f"Poly({str(self)!r})"
@@ -291,43 +272,42 @@ class Poly:
     def __str__(self):
         # canonical text: graded-lex descending, reduced coefficients,
         # explicit '*', '^' only for exponents above 1
-        if not self._terms:
+        if not self._num:
             return "0"
         parts: list[str] = []
-        for mono in sorted(self._terms, key=grlex_key, reverse=True):
-            c = self._terms[mono]
-            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, mono) if e]
-            body = "*".join(factors)
-            mag = abs(c)
-            if body and mag == 1:
-                text = body
-            elif body:
-                text = f"{mag}*{body}"
-            else:
-                text = str(mag)
+        for mono in sorted(self._num, key=grlex_key, reverse=True):
+            n = self._num[mono]
+            g = igcd(n, self._den)
+            a, d = abs(n) // g, self._den // g
+            mag = f"{a}/{d}" if d != 1 else str(a)
+            body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, mono) if e)
+            text = mag if not body else body if mag == "1" else f"{mag}*{body}"
             if not parts:
-                parts.append(text if c > 0 else f"-{text}")
+                parts.append(text if n > 0 else f"-{text}")
             else:
-                parts.append(f"+ {text}" if c > 0 else f"- {text}")
+                parts.append(f"+ {text}" if n > 0 else f"- {text}")
         return " ".join(parts)
 
 
-def product_terms(a: Mapping[Monomial, Fraction], b: Mapping[Monomial, Fraction], cap: int) -> dict[Monomial, Fraction]:
-    """The nonzero terms of total degree <= cap of the product of the term
-    maps a and b, summed on integer numerators and divided once per term."""
-    da, na = integer_numerators(a.values())
-    db, nb = integer_numerators(b.values())
-    right = sorted(zip(map(sum, b), b, nb))
-    acc: dict[Monomial, int] = {}
-    for (a0, a1, a2), x in zip(a, na):
-        room = cap - a0 - a1 - a2
-        for e, (b0, b1, b2), y in right:
-            if e > room:
-                break
-            m = (a0 + b0, a1 + b1, a2 + b2)
-            acc[m] = acc.get(m, 0) + x * y
-    den = da * db
-    return {m: Fraction(n, den) for m, n in acc.items() if n}
+def product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int], cap: Union[int, None] = None) -> Terms:
+    """The nonzero terms of the product of the integer term maps a and b;
+    given a cap, only those of total degree <= cap."""
+    acc = {}
+    if cap is None:
+        for (a0, a1, a2), x in a.items():
+            for (b0, b1, b2), y in b.items():
+                m = (a0 + b0, a1 + b1, a2 + b2)
+                acc[m] = acc.get(m, 0) + x * y
+    else:
+        right = sorted((b0 + b1 + b2, (b0, b1, b2), y) for (b0, b1, b2), y in b.items())
+        for (a0, a1, a2), x in a.items():
+            room = cap - a0 - a1 - a2
+            for e, (b0, b1, b2), y in right:
+                if e > room:
+                    break
+                m = (a0 + b0, a1 + b1, a2 + b2)
+                acc[m] = acc.get(m, 0) + x * y
+    return {m: n for m, n in acc.items() if n}
 
 
 X = Poly.variable("x")
@@ -335,41 +315,53 @@ Y = Poly.variable("y")
 Z = Poly.variable("z")
 
 
-def exact_quotient(p: Poly, q: Poly) -> Union[Poly, None]:
-    """Quotient p/q when q divides p exactly, else None."""
-    if q.is_zero():
-        raise ZeroDivisionError("division by zero polynomial")
-    if p.is_zero():
-        return Poly.zero()
-    qlm = q.leading_monomial()
-    qlc = q._terms[qlm]
-    qterms = [(m, c) for m, c in q._terms.items() if m != qlm]
-    rem = dict(p._terms)
+def _content(num: Terms) -> int:
+    return igcd(*num.values())
+
+
+def _divide(a: Terms, b: Terms) -> Union[Terms, None]:
+    """Exact quotient over Z of integer term maps, or None."""
+    blm = max(b, key=grlex_key)
+    blc = b[blm]
+    tail = [(m, c) for m, c in b.items() if m != blm]
+    rem = dict(a)
     # max-heap of the remainder's monomials in graded-lex order; each step
     # only adds monomials below the one it removes, so none comes back
     heap = [(-m[0] - m[1] - m[2], -m[0], -m[1], -m[2]) for m in rem]
     heapq.heapify(heap)
-    quot: dict[Monomial, Fraction] = {}
+    quot = {}
     while heap:
         _, i, j, k = heapq.heappop(heap)
-        m = (-i, -j, -k)
-        c = rem.pop(m)
+        c = rem.pop((-i, -j, -k))
         if not c:
             continue
-        d = (m[0] - qlm[0], m[1] - qlm[1], m[2] - qlm[2])
+        d = (-i - blm[0], -j - blm[1], -k - blm[2])
         if d[0] < 0 or d[1] < 0 or d[2] < 0:
             return None
-        coeff = c / qlc
-        quot[d] = coeff
-        for qm, qc in qterms:
-            key = (d[0] + qm[0], d[1] + qm[1], d[2] + qm[2])
+        q, r = divmod(c, blc)
+        if r:
+            return None
+        quot[d] = q
+        for (m0, m1, m2), bc in tail:
+            key = (d[0] + m0, d[1] + m1, d[2] + m2)
             old = rem.get(key)
             if old is None:
                 heapq.heappush(heap, (-key[0] - key[1] - key[2], -key[0], -key[1], -key[2]))
-                rem[key] = -coeff * qc
+                rem[key] = -q * bc
             else:
-                rem[key] = old - coeff * qc
-    return Poly._make(quot)
+                rem[key] = old - q * bc
+    return quot
+
+
+def exact_quotient(p: Poly, q: Poly) -> Union[Poly, None]:
+    """Quotient p/q when q divides p exactly, else None."""
+    if not q._num:
+        raise ZeroDivisionError("division by zero polynomial")
+    c = _content(q._num)
+    quot = _divide(p._num, {m: n // c for m, n in q._num.items()} if c != 1 else q._num)
+    if quot is None:
+        return None
+    return Poly._make({m: n * q._den for m, n in quot.items()}, p._den * c)
 
 
 def divides(q: Poly, p: Poly) -> bool:
@@ -379,88 +371,63 @@ def divides(q: Poly, p: Poly) -> bool:
 
 # -- gcd: heuristic integer gcd (GCDHEU) with a PRS fallback ---------
 #
-# Over Q a gcd is fixed only up to a unit, so both inputs are first cleared
-# to primitive integer polynomials. GCDHEU (Char, Geddes & Gonnet, "GCDHEU:
-# heuristic polynomial GCD algorithm based on integer GCD computation",
-# J. Symb. Comp. 7, 1989) evaluates the last variable present at an integer
-# xi >= 2*min(|a|, |b|) + 2, where |.| is the largest coefficient, takes the
-# gcd of the two images recursively down to an integer gcd, and rebuilds a
-# candidate from the balanced base-xi digits of that gcd. A primitive
-# candidate that divides both inputs exactly over Z is their gcd (Geddes,
-# Czapor & Labahn, "Algorithms for Computer Algebra", 1992, Thm 7.7). A
-# failed test grows xi; after _HEU_TRIES failures, or once an image would
-# pass _HEU_MAX_BITS, the primitive polynomial remainder sequence (Brown,
-# "On Euclid's algorithm and the computation of polynomial greatest common
-# divisors", JACM 18, 1971) answers instead.
+# A gcd over Q is fixed up to a unit, so the inputs are taken as their
+# integer numerators. GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7,
+# 1989) evaluates the last variable present at an integer xi >=
+# 2*min(|a|, |b|) + 2, |.| the largest coefficient, takes the gcd of the
+# images recursively down to an integer gcd, and rebuilds a candidate from
+# its balanced base-xi digits. A primitive candidate that divides both
+# inputs over Z is their gcd (Geddes, Czapor & Labahn, Thm 7.7). A failed
+# test grows xi; after _HEU_TRIES failures, or once an image would pass
+# _HEU_MAX_BITS, the primitive remainder sequence (Brown, JACM 18, 1971)
+# answers instead.
 
 _HEU_TRIES = 6
-# bit length of xi times the degree in the evaluated variable: a bound on
-# the size of the integers an evaluation makes
+# bounds bit length of xi times degree: the size of an evaluation's ints
 _HEU_MAX_BITS = 16000
 
 
-def _integer_content(p: Poly) -> int:
-    # p has integer coefficients
-    c = 0
-    for v in p._terms.values():
-        c = igcd(c, v.numerator)
-        if c == 1:
-            break
-    return c
-
-
-def _evaluate_at(p: Poly, vi: int, xi: int) -> Poly:
-    # p, with integer coefficients, at variable vi = xi
+def _evaluate_at(p: Terms, vi: int, xi: int) -> Terms:
+    # p at variable vi = xi
     powers = [1]
-    for _ in range(max(m[vi] for m in p._terms)):
+    for _ in range(max(m[vi] for m in p)):
         powers.append(powers[-1] * xi)
-    out: dict[Monomial, int] = {}
-    for m, c in p._terms.items():
+    out = {}
+    for m, c in p.items():
         key = m[:vi] + (0,) + m[vi + 1:]
-        out[key] = out.get(key, 0) + c.numerator * powers[m[vi]]
-    return Poly._make({m: Fraction(c) for m, c in out.items() if c})
+        out[key] = out.get(key, 0) + c * powers[m[vi]]
+    return {m: c for m, c in out.items() if c}
 
 
-def _interpolate(g: Poly, vi: int, xi: int) -> Poly:
-    # balanced base-xi digits of each integer coefficient of g become the
+def _interpolate(g: Terms, vi: int, xi: int) -> Terms:
+    # balanced base-xi digits of each coefficient of g become the
     # coefficients of the powers of variable vi
     half = xi // 2
-    out: dict[Monomial, Fraction] = {}
-    for m, c in g._terms.items():
-        c = c.numerator
+    out = {}
+    for m, c in g.items():
         e = 0
         while c:
             d = c % xi
             if d > half:
                 d -= xi
             if d:
-                key = list(m)
-                key[vi] = e
-                out[tuple(key)] = Fraction(d)
+                out[m[:vi] + (e,) + m[vi + 1:]] = d
             c = (c - d) // xi
             e += 1
-    return Poly._make(out)
+    return out
 
 
-def _primitive_integer(p: Poly) -> Poly:
-    return Poly._make(clear_denominators(p._terms, grlex_key))
-
-
-def _gcd_heu(a: Poly, b: Poly) -> Union[Poly, None]:
-    """gcd over Z of nonzero a and b with integer coefficients, or None
-    when the heuristic gives up."""
-    ca, cb = _integer_content(a), _integer_content(b)
+def _gcd_heu(a: Terms, b: Terms) -> Union[Terms, None]:
+    """gcd over Z of nonzero integer term maps, or None if it gives up."""
+    ca, cb = _content(a), _content(b)
     c = igcd(ca, cb)
-    if a.is_constant() or b.is_constant():
-        return Poly.constant(c)
-    if ca != 1:
-        a = a / ca
-    if cb != 1:
-        b = b / cb
-    vi = max(set(a.variables()) | set(b.variables()))
-    deg = max(a.degree_in(vi), b.degree_in(vi))
-    norm = min(max(map(abs, a._terms.values())), max(map(abs, b._terms.values())))
-    xi = 2 * int(norm) + 2
+    if any(all(m == _ORIGIN_MONO for m in p) for p in (a, b)):
+        return {_ORIGIN_MONO: c}
+    a = {m: n // ca for m, n in a.items()}
+    b = {m: n // cb for m, n in b.items()}
+    vi = max(vi for p in (a, b) for m in p for vi in range(3) if m[vi])
+    deg = max(m[vi] for p in (a, b) for m in p)
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 2
     for _ in range(_HEU_TRIES):
         if xi.bit_length() * deg > _HEU_MAX_BITS:
             return None
@@ -469,55 +436,42 @@ def _gcd_heu(a: Poly, b: Poly) -> Union[Poly, None]:
         if g is None:
             return None
         h = _interpolate(g, vi, xi)
-        ch = _integer_content(h)
+        ch = _content(h)
         if ch != 1:
-            h = h / ch
+            h = {m: n // ch for m, n in h.items()}
         # h is primitive, so by Gauss's lemma it divides over Z exactly
         # when it divides over Q
-        if exact_quotient(a, h) is not None and exact_quotient(b, h) is not None:
-            return h * c
+        if _divide(a, h) is not None and _divide(b, h) is not None:
+            return {m: n * c for m, n in h.items()}
         # the growth factor of Char, Geddes & Gonnet
         xi = xi * 73794 // 27011
     return None
 
 
 def _as_univariate(p: Poly, vi: int) -> dict[int, Poly]:
-    out: dict[int, dict[Monomial, Fraction]] = {}
-    for m, c in p.items():
-        rest = list(m)
-        rest[vi] = 0
-        out.setdefault(m[vi], {})[tuple(rest)] = c
-    return {d: Poly._make(terms) for d, terms in out.items()}
+    out: dict[int, Terms] = {}
+    for m, n in p._num.items():
+        out.setdefault(m[vi], {})[m[:vi] + (0,) + m[vi + 1:]] = n
+    return {d: Poly._make(num, p._den) for d, num in out.items()}
 
 
 def _from_univariate(coeffs: dict[int, Poly], vi: int) -> Poly:
-    data: dict[Monomial, Fraction] = {}
-    for d, cp in coeffs.items():
-        for m, c in cp.items():
-            nm = list(m)
-            nm[vi] = d
-            data[tuple(nm)] = c
-    return Poly._make(data)
-
-
-def _first_variable(p: Poly, q: Poly) -> Union[int, None]:
-    used = set(p.variables()) | set(q.variables())
-    for vi in range(3):
-        if vi in used:
-            return vi
-    return None
+    return sum((cp * Poly.variable(vi)**d for d, cp in coeffs.items()), Poly.zero())
 
 
 def _content_primitive(p: Poly, vi: int) -> tuple[Poly, Poly]:
     """Content in the later variables, the monic gcd of the coefficients
     in variable vi, and the primitive part in vi, cleared to coprime
-    integer coefficients."""
+    integer coefficients with a positive graded-lex lead."""
     coeffs = _as_univariate(p, vi)
     content = gcd_many(coeffs[d] for d in sorted(coeffs))
     prim = exact_quotient(p, content)
     if prim is None:
         raise ArithmeticError(f"content {content} does not divide {p}")
-    return content, Poly._make(clear_denominators(prim._terms, grlex_key))
+    g = _content(prim._num)
+    if prim._num[prim.leading_monomial()] < 0:
+        g = -g
+    return content, Poly._make({m: n // g for m, n in prim._num.items()})
 
 
 def _prem(a: dict[int, Poly], b: dict[int, Poly], vi: int) -> dict[int, Poly]:
@@ -528,7 +482,7 @@ def _prem(a: dict[int, Poly], b: dict[int, Poly], vi: int) -> dict[int, Poly]:
     while r and max(r) >= db:
         dr = max(r)
         lr = r[dr]
-        new: dict[int, Poly] = {d: lb * c for d, c in r.items()}
+        new = {d: lb * c for d, c in r.items()}
         for d, c in b.items():
             nd = d + dr - db
             v = new.get(nd, Poly.zero()) - lr * c
@@ -540,24 +494,15 @@ def _prem(a: dict[int, Poly], b: dict[int, Poly], vi: int) -> dict[int, Poly]:
     return r
 
 
-def _primitive_part(r: dict[int, Poly], vi: int) -> Poly:
-    p = _from_univariate(r, vi)
-    if p.is_zero():
-        return p
-    _, prim = _content_primitive(p, vi)
-    return prim
-
-
 def _gcd_prs(p: Poly, q: Poly) -> Poly:
     """gcd up to a rational unit by a primitive remainder sequence in the
     first variable present; the contents, in fewer variables, go to gcd."""
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    vi = _first_variable(p, q)
-    if vi is None:
+    if not p or not q:
+        return p or q
+    used = p.variables() + q.variables()
+    if not used:
         return Poly.one()
+    vi = min(used)
     cp, pp = _content_primitive(p, vi)
     cq, pq = _content_primitive(q, vi)
     cont = gcd(cp, cq)
@@ -565,9 +510,8 @@ def _gcd_prs(p: Poly, q: Poly) -> Poly:
     if max(a) < max(b):
         a, b = b, a
     while b:
-        r = _prem(a, b, vi)
-        rp = _primitive_part(r, vi)
-        a, b = b, _as_univariate(rp, vi) if rp else {}
+        r = _from_univariate(_prem(a, b, vi), vi)
+        a, b = b, _as_univariate(_content_primitive(r, vi)[1], vi) if r else {}
     return cont * _from_univariate(a, vi)
 
 
@@ -578,17 +522,15 @@ def gcd(p: Poly, q: Poly) -> Poly:
         return q.monic()
     if q.is_zero():
         return p.monic()
-    g = _gcd_heu(_primitive_integer(p), _primitive_integer(q))
-    if g is None:
-        return _gcd_prs(p, q).monic()
-    return g.monic()
+    g = _gcd_heu(p._num, q._num)
+    return (_gcd_prs(p, q) if g is None else Poly._make(g)).monic()
 
 
 def gcd_many(polys: Iterable[Poly]) -> Poly:
     g = Poly.zero()
     for p in polys:
         g = gcd(g, p)
-        if g == Poly.one():
+        if g == 1:
             break
     return g
 

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,30 @@ def test_spectrum_json_golden(golden, argv):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("corpus_run.txt", ("corpus", "run")),
+        ("corpus_run.json", ("corpus", "run", "--json")),
+        # eliminant x^2 - 2: no rational root, points incomplete
+        (
+            "spectrum_eliminant.json",
+            ("spectrum", "--json", "--s", "x^3 - 6*x + y^2 + z^2", "--params", "1:0,1:2"),
+        ),
+        # fractional coefficients, a 1-dimensional residually null stratum
+        (
+            "spectrum_fractional.json",
+            ("spectrum", "--json", "--s", "1/2*x^2*y - 2/3*z + 5/7", "--t", "x + 3/4",
+             "--params", "1:0,0:1,3:-2", "--max-deg", "2"),
+        ),
+    ],
+)
+def test_golden_output(golden, argv):
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_spectrum_large_linear_eliminant():
     # every eliminant is linear; trial division over the divisors of
     # N = 10^20 would take about 10^10 steps
@@ -235,6 +260,44 @@ def test_corpus_detects_mismatch(tmp_path):
     assert code == 1
     assert "FAIL  sl2" in out
     assert "maximal_points" in out
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda e: e["expected"]["height_one"]["1:0"].append({"generator": "x"}),
+         "bad corpus entry 'sl2': missing 'multiplicity'"),
+        (lambda e: e["expected"]["height_one"].update({"1;0": []}),
+         "bad corpus entry 'sl2': expected 'lambda:mu', got '1;0'"),
+        (lambda e: e["expected"]["height_one"]["1:0"][0].update({"multiplicity": 0}),
+         "bad corpus entry 'sl2': height_one[1:0]: "),
+        (lambda e: e["expected"]["height_one"]["1:0"][0].update({"primitive": "yes"}),
+         "bad corpus entry 'sl2': height_one[1:0]: "),
+        (lambda e: e["expected"]["height_one"]["1:0"][0].update({"generator": "x +"}),
+         "bad corpus entry 'sl2': offset 3"),
+    ],
+    ids=["row-without-multiplicity", "bad-parameter-key", "zero-multiplicity",
+         "string-primitive", "bad-generator"],
+)
+def test_corpus_malformed_expected_row(tmp_path, edit, message):
+    from pba.corpus import bundled_corpus_text
+
+    entry = next(e for e in json.loads(bundled_corpus_text()) if e["name"] == "sl2")
+    edit(entry)
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps([entry]))
+    code, out, err = run_cli("corpus", "run", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+
+
+@pytest.mark.parametrize("text", ["(x+y+z+1)^100", "(x+y+z+1)^40*(x+y+z+2)^40"])
+def test_expansion_past_the_bound_exits_2_quickly(text):
+    start = time.perf_counter()
+    code, out, err = run_cli("spectrum", "--s", text, "--params", "1:0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "term pairs" in err
 
 
 def test_corpus_missing_file():

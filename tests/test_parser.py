@@ -1,13 +1,13 @@
 """Tests for the polynomial text format."""
 
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pba.parser import MAX_NESTING, ParseError, parse, render
+from pba.parser import MAX_NESTING, MAX_TERM_PAIRS, ParseError, _power_cost, parse, render
 from pba.poly import Poly, X, Y, Z
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
@@ -89,6 +89,17 @@ def test_high_power_expands_in_bounded_time():
     assert len(p) == 12341
     assert p.coeff((40, 0, 0)) == 1
     assert p.coeff((10, 10, 10)) == factorial(40) // factorial(10) ** 4
+
+
+def test_expansion_is_bounded_before_it_runs():
+    # (x+y+z+1)^k has C(k+3, 3) terms, and x^(k+1) = x^k * x pairs them all
+    assert _power_cost(parse("x+y+z+1"), 40) == (4 * comb(43, 4), comb(43, 3))
+    assert _power_cost(parse("x^10+1"), 5) == (2 * (1 + 2 + 3 + 4 + 5), 6)
+    for text in ("(x+y+z+1)^60", "(x+y)^2000", "(x+y+z+1)^20*(x+y+z+1)^30"):
+        with pytest.raises(ParseError, match=f"past {MAX_TERM_PAIRS} term pairs"):
+            parse(text)
+    # a single term is raised directly, at any exponent
+    assert parse("(2*x*y)^100000").leading_monomial() == (100000, 100000, 0)
 
 
 def test_minus_is_expected_only_where_an_expression_starts():

@@ -1,5 +1,8 @@
 """Tests for the sparse polynomial core."""
 
+import fractions
+import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pba import poly
+from pba.parser import parse
 from pba.poly import (
     Poly,
     SquareFreePart,
@@ -378,3 +382,171 @@ def test_squarefree_constant():
     unit, parts = squarefree_decomposition(Poly.constant(Fraction(7, 2)))
     assert unit == Fraction(7, 2)
     assert parts == ()
+
+
+# -- the representation: integer numerators over one denominator -----------
+#
+# Each operation is checked against a plain dict[Monomial, Fraction] oracle,
+# and its result against the canonical form: nonzero int numerators over a
+# positive int denominator coprime to all of them, zero as ({}, 1).
+
+mixed = st.fractions(min_value=-7, max_value=7, max_denominator=12)
+oracle_polys = st.dictionaries(monos, mixed, max_size=5).map(
+    lambda d: {m: c for m, c in d.items() if c})
+scalars = mixed.filter(bool)
+
+
+def canonical(p: Poly) -> dict:
+    """p's terms as Fractions, after asserting the canonical form."""
+    num, den = p._num, p._den
+    assert type(den) is int and den > 0
+    assert all(type(n) is int and n for n in num.values())
+    assert math.gcd(den, *num.values()) == 1
+    assert not hasattr(p, "_terms") and len(p) == len(num)
+    return {m: Fraction(n, den) for m, n in num.items()}
+
+
+def o_add(a, b, s=1):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, 0) + s * c
+    return {m: c for m, c in out.items() if c}
+
+
+def o_mul(a, b):
+    out = {}
+    for (i, j, k), c in a.items():
+        for (p, q, r), d in b.items():
+            m = (i + p, j + q, k + r)
+            out[m] = out.get(m, 0) + c * d
+    return {m: c for m, c in out.items() if c}
+
+
+def o_scale(a, c):
+    return {m: v * c for m, v in a.items() if v * c}
+
+
+def o_pow(a, e):
+    out = {(0, 0, 0): Fraction(1)}
+    for _ in range(e):
+        out = o_mul(out, a)
+    return out
+
+
+def o_lead(a):
+    return max(a, key=lambda m: (sum(m), m))
+
+
+def o_quotient(a, b):
+    """Division by the graded-lex lead of b: the quotient, or None when a
+    remainder is left."""
+    a, quot = dict(a), {}
+    lb = o_lead(b)
+    while a:
+        m = o_lead(a)
+        d = tuple(x - y for x, y in zip(m, lb))
+        if min(d) < 0:
+            return None
+        c = a[m] / b[lb]
+        quot[d] = c
+        a = o_add(a, o_mul({d: c}, b), -1)
+    return quot
+
+
+@given(oracle_polys, oracle_polys, scalars, st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_arithmetic_matches_the_fraction_oracle(a, b, c, e):
+    pa, pb = Poly(a), Poly(b)
+    assert canonical(pa) == a and canonical(pb) == b
+    assert canonical(pa + pb) == o_add(a, b)
+    assert canonical(pa - pb) == o_add(a, b, -1)
+    assert canonical(-pa) == o_scale(a, -1)
+    assert canonical(pa * c) == canonical(c * pa) == o_scale(a, c)
+    assert canonical(pa + c) == o_add(a, {(0, 0, 0): c})
+    assert canonical(pa / c) == o_scale(a, 1 / c)
+    assert canonical(pa * pb) == o_mul(a, b)
+    assert canonical(pa**e) == o_pow(a, e)
+    for vi in range(3):
+        unit = tuple(int(k == vi) for k in range(3))
+        want = {tuple(x - y for x, y in zip(m, unit)): v * m[vi] for m, v in a.items() if m[vi]}
+        assert canonical(pa.derivative(vi)) == want
+    if a:
+        assert canonical(pa.monic()) == o_scale(a, 1 / a[o_lead(a)])
+
+
+@given(oracle_polys, st.tuples(mixed, mixed, mixed))
+@settings(max_examples=40, deadline=None)
+def test_translate_matches_the_fraction_oracle(a, point):
+    want = {}
+    for (i, j, k), c in a.items():
+        shifted = [o_pow({tuple(int(v == vi) for v in range(3)): Fraction(1), (0, 0, 0): s}, e)
+                   if s else o_pow({tuple(int(v == vi) for v in range(3)): Fraction(1)}, e)
+                   for vi, (s, e) in enumerate(zip(point, (i, j, k)))]
+        want = o_add(want, o_scale(o_mul(o_mul(shifted[0], shifted[1]), shifted[2]), c))
+    assert canonical(Poly(a).translate(point)) == want
+
+
+@given(oracle_polys, oracle_polys, oracle_polys)
+@settings(max_examples=40, deadline=None)
+def test_division_and_gcd_match_the_fraction_oracle(a, b, r):
+    pa, pb, pr = Poly(a), Poly(b), Poly(r)
+    if b:
+        assert canonical(exact_quotient(pa * pb, pb)) == a
+        q = exact_quotient(pa, pb)
+        want = o_quotient(a, b)
+        assert (q is None) == (want is None)
+        if q is not None:
+            assert canonical(q) == want
+    g = gcd(pa * pr, pb * pr)
+    terms = canonical(g)
+    if terms:
+        assert terms[o_lead(terms)] == 1
+        for f in (o_mul(a, r), o_mul(b, r)):
+            assert o_quotient(f, terms) is not None
+
+
+@given(oracle_polys)
+@settings(max_examples=40, deadline=None)
+def test_equal_polys_hash_equally(a):
+    p = Poly(a)
+    twins = [
+        parse(str(p)),
+        Poly(list(a.items())[::-1]),
+        Poly(dict(p.items())),
+        (p + X * Y) - X * Y,
+        p * Fraction(3, 7) / Fraction(3, 7),
+        exact_quotient(p * (X / 2 + 1), X / 2 + 1),
+        (p * (X + 1)).derivative("x") - X * p.derivative("x") - p.derivative("x"),
+    ]
+    for q in twins:
+        assert q == p and hash(q) == hash(p)
+        assert (q._num, q._den) == (p._num, p._den)
+
+
+def test_integer_kernels_make_no_fractions():
+    made = []
+
+    def count(frame, event, arg):
+        code = frame.f_code
+        if event == "call" and code.co_filename == fractions.__file__ and code.co_name in (
+                "__new__", "_from_coprime_ints"):
+            made.append(code.co_name)
+
+    a = parse("3*x^2*y - 5*z + 7*x*y*z - 2")
+    b = parse("x*y - 4*z^2 + 11")
+    sys.setprofile(count)
+    try:
+        product = a * b
+        total = a + b
+        quotient = exact_quotient(product, b)
+    finally:
+        sys.setprofile(None)
+    assert made == []
+    assert quotient == a and total == b + a
+    # the counter sees the Fractions made at the public edges
+    sys.setprofile(count)
+    try:
+        a.leading_coefficient()
+    finally:
+        sys.setprofile(None)
+    assert made
