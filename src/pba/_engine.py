@@ -1,18 +1,17 @@
 """Gröbner machinery over raw exponent-tuple polynomials.
 
-An Epoly is a dict mapping exponent tuples (any fixed width) to nonzero
-ints or Fractions: callers pass a Poly's integer numerators, a constant
-multiple of it, and the solver passes back the monic Fraction bases it
-makes. The public three-variable API wraps this module; the factor-search
-ansatz reuses it with one tuple slot per unknown coefficient (its division
-is one _reduce call), which is why nothing here assumes width three.
+An Epoly maps exponent tuples of any fixed width to nonzero ints or
+Fractions: callers pass a Poly's integer numerators (a constant multiple
+of it), and the solver passes back the monic Fraction bases it makes.
+groebner.py wraps it for three variables; the factor-search ansatz adds
+one tuple slot per unknown coefficient, so nothing assumes width three.
 
-Conventions: variable precedence follows tuple position (slot 0 highest).
-Buchberger keeps each basis element as a primitive integer polynomial with
-its lead alongside, reduces fraction-free, and makes Fractions only for the
-monic reduced basis it returns. Pairs go smallest lcm first and are pruned
-by the Gebauer-Moller update (J. Symb. Comp. 6, 1988). The public
-normal_form and certify use the same reduction.
+Variable precedence follows tuple position (slot 0 highest). Buchberger
+keeps each basis element primitive over Z with its lead alongside,
+reduces fraction-free, and makes Fractions only for the monic reduced
+basis it returns. Pairs go smallest lcm first and are pruned by the
+Gebauer-Moller update (J. Symb. Comp. 6, 1988); normal_form and certify
+use the same reduction.
 
 Inputs are read-only and every polynomial returned is a fresh dict, so
 callers may pass the term dicts of immutable polynomials uncopied.

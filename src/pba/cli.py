@@ -18,7 +18,7 @@ import sys
 from .corpus import bundled_corpus_text, load_corpus, run_corpus
 from .lifting import PointSearchError, cm_certificate, verify_certificate
 from .parser import ParseError, parse
-from .poly import Poly
+from .poly import Poly, rat_text
 from .serialize import dumps, report_payload
 from .spectrum import PencilParameter, PointKind, spectrum_report
 from .triples import NotPoissonError, PolyVec, jacobi_witness, verify_triple, bracket as bracket_op
@@ -98,7 +98,7 @@ def _cmd_spectrum(args) -> int:
     basis = ", ".join(str(b) for b in stratum.basis.basis) or "0"
     print(f"residually null: dimension {stratum.dimension}; basis: {basis}")
     for pc in stratum.points:
-        coords = ", ".join(str(c) for c in pc.point)
+        coords = ", ".join(map(rat_text, pc.point))
         print(f"  point ({coords}): {_kind_text(pc)}")
     for e in stratum.eliminants:
         print(f"  no rational root: {e}")

@@ -3,9 +3,8 @@
 Each entry names a bracket (s, t), sampled pencil parameters, and the
 expected residually-null dimension, maximal points, and per-parameter
 factor data. run_corpus computes fresh reports and diffs them against
-the expectations; entries run one after another and results come back
-sorted by name. A bundled corpus covering the worked examples ships with the
-package.
+the expectations, one entry after another, sorted by name. A bundled
+corpus of the worked examples ships with the package.
 """
 
 from __future__ import annotations

@@ -1,31 +1,31 @@
 """Bounded factorization over Q by undetermined coefficients.
 
-After monomial extraction and squarefree decomposition, the factors of
-each squarefree part are searched degree by degree: a monic ansatz factor
-with unknown coefficients divides the target in the engine's reduction
-routine, and the remainder's vanishing is a system in the unknowns (one
-ring variable each), solved with the Gröbner engine.
+After monomial extraction and squarefree decomposition, each squarefree
+part is searched degree by degree: a monic ansatz factor with one unknown
+(ring variable) per coefficient divides the target in the engine's
+reduction routine, and the remainder's vanishing is a system solved with
+the Gröbner engine.
 
 Degrees up to floor(deg/2) find a factor whenever one exists; the result
 is complete only when the bound reaches ceil(deg/2) for every cofactor.
 The same systems decide absolute irreducibility: a unit ideal at every
-degree means no factor over any extension field, while a proper ideal
-with no rational point (e.g. x^2 - 2) leaves the factor irreducible over
-Q but not certified absolutely irreducible.
+degree means no factor over any extension field; a proper ideal with no
+rational point (e.g. x^2 - 2) leaves the factor irreducible over Q but
+not certified absolutely irreducible.
 
 Each ansatz keeps only the unknowns that Newton polytopes allow. By
-Ostrowski's theorem Newt(u*v) = Newt(u) + Newt(v), so a factor u with
-grlex lead m of q has a cofactor whose lead lm(q) - m lies in Newt(v),
-and every monomial e of u has e + lm(q) - m in Newt(q). This holds over
-any field, so the coefficients dropped for failing it vanish at every
-point of the full system, and neither the rational factors found nor the
-proper-ideal flag change. Newt(q) is bounded by its min/max slabs along
-the primitive directions in {-2..2}^3, which contain the exact polytope.
+Ostrowski's theorem Newt(u*v) = Newt(u) + Newt(v), so for a factor u with
+grlex lead m the cofactor's lead lm(q) - m is in Newt(v), and each
+monomial e of u has e + lm(q) - m in Newt(q). This holds over any field,
+so the dropped coefficients vanish at every point of the full system and
+neither the rational factors nor the proper-ideal flag change. Newt(q)
+lies within its min/max slabs along the primitive directions in
+{-2..2}^3, computed once per q.
 
-Certification happens in one place, _factor_squarefree, from the flag
-that _ansatz_search returns: a part left whole is certified when no
-degree searched for it met a proper ideal, and a factor split off is
-certified by running the same search on that factor alone.
+Certification happens only in _factor_squarefree, from the flag that
+_ansatz_search returns: a part left whole is certified when no degree
+searched met a proper ideal, and a factor split off by running the same
+search on it alone.
 """
 
 from __future__ import annotations
@@ -101,18 +101,14 @@ def _division_system(q: Poly, lm3: Monomial, unknowns: list[Monomial]) -> list[d
     return list(grouped.values())
 
 
-def _ansatz_search(q: Poly, d: int) -> tuple[Poly | None, bool]:
-    """Look for a monic degree-d factor of squarefree q.
-
-    Returns (factor or None, proper_ideal_seen): the second flag is True
-    when some candidate system had solutions over an extension field even
-    though no rational factor was found.
-    """
+def _ansatz_search(q: Poly, d: int, slabs: list[tuple[Monomial, int, int]]) -> tuple[Poly | None, bool]:
+    """Look for a monic degree-d factor of squarefree q, given its
+    _newton_slabs. Returns (factor or None, proper_seen), proper_seen True
+    when a candidate system had solutions over an extension field only."""
     proper_seen = False
     qlm = q.leading_monomial()
     candidates = [m for m in _monomials_upto(d) if sum(m) == d and _engine.mono_divides(m, qlm)]
     candidates.sort(key=grlex_key, reverse=True)
-    slabs = _newton_slabs(q)
     for m in candidates:
         lv = _engine.mono_sub(qlm, m)  # lead of the cofactor
         unknowns = [mm for mm in _monomials_upto(d) if grlex_key(mm) < grlex_key(m)
@@ -138,8 +134,9 @@ def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bo
     if deg == 1:
         return [(q, True)], True
     seen_proper = False
+    slabs = _newton_slabs(q)
     for d in range(1, min(bound, deg // 2) + 1):
-        u, proper = _ansatz_search(q, d)
+        u, proper = _ansatz_search(q, d, slabs)
         seen_proper = seen_proper or proper
         if u is not None:
             cof = exact_quotient(q, u)

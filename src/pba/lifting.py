@@ -1,29 +1,23 @@
 """Truncated power-series lifting of Poisson triples.
 
-Any verified triple F = (f, g, h) with f and g nonzero at a point can be
-written there as b * grad(d) for formal power series b, d. The lift is
-computed coefficient by coefficient from the three component equations
+A verified triple F = (f, g, h) with f and g nonzero at a point is
+b * grad(d) there for formal power series b, d, found coefficient by
+coefficient, by total degree (weight), from
 
-    b * d_x = f,    b * d_y = g,    b * d_z = h,
+    b * d_x = f,    b * d_y = g,    b * d_z = h.
 
-sweeping total degree (weight) upward. The free choices are pinned to
-d_000 = 0, d_100 = 1 and d_(w+1)00 = 0 at each weight, which makes the
-output deterministic; they are recorded on the result. Triples vanishing
-at every candidate point first get moved: cm_certificate cycles the
-variables so two nonzero components occupy the f and g slots, hunts a
-base point with f*g != 0, translates there, and lifts.
+The free choices d_000 = 0, d_100 = 1 and d_(w+1)00 = 0 make the output
+deterministic and are recorded on the result.
 
 At weight w the equations give b's coefficients of weight w and d's of
-weight w+1. Each coefficient equation holds a sum of products of one b
-and one d coefficient. Apart from the term that holds the unknown, every
-product but one pairs a finished weight of b with a finished weight of
-d. lift_at_origin keeps each finished weight as integer numerators over
-one denominator, the lcm of that weight's denominators. It rescales them
-so that all the finished products at weight w lie over one denominator,
-sums each coefficient's products as Python ints, and makes one Fraction
-of the sum. The remaining product stays in Fraction: the d of weight w+1
-against b_000 in the x-equation, and the b of weight w against d_010 or
-d_001 in the y- and z-equations.
+weight w+1. Each coefficient equation is a sum of products of one b and
+one d coefficient, all but two of which pair finished weights of b and
+d. lift_at_origin runs on ints: b and d are reduced numerator/denominator
+pairs, and each finished weight is rescaled to integer numerators so
+that those products and f, g, h lie over one denominator and sum as one
+int. The other two products, the unknown's term and the d of weight w+1
+against b_000 (x-equation) or the b of weight w against d_010 or d_001
+(y, z), fold in with the pivot division and one gcd.
 
 A TruncatedSeries is a Poly and a cap; its product convolves the Poly
 numerators with poly.product_terms given that cap. verify_lift checks a
@@ -35,11 +29,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, Mapping, Union
 
-from ._engine import integer_numerators
 from .poly import Monomial, Poly, ScalarLike, product_terms
 from .triples import PolyVec, PoissonTriple, _as_vec, cycle_variables, ensure_verified, verify_triple
 
@@ -53,13 +46,9 @@ class PointSearchError(RuntimeError):
 
 
 class TruncatedSeries:
-    """Polynomial data truncated at a total-degree cap.
-
-    Represents an element of the power-series completion at the origin
-    modulo terms of degree > cap: a Poly with no term above the cap, and
-    the cap. Binary operations insist on matching caps; products drop
-    everything the cap cannot see.
-    """
+    """An element of the power-series completion at the origin modulo
+    terms of degree > cap: a Poly with no term above the cap, and the
+    cap. Binary operations insist on matching caps."""
 
     __slots__ = ("_poly", "_cap")
 
@@ -168,13 +157,26 @@ class CmCertificate:
     lift: LiftResult
 
 
-def _integer_slice(coeffs: Mapping[Monomial, Fraction], u: int) -> tuple[list[Monomial], list[int], int]:
-    """The monomials of total degree u, their coefficients as integer
-    numerators, and the lcm of the denominators. A monomial of the weight
-    that is missing from coeffs raises KeyError."""
+def _conventions(weight: int) -> tuple[tuple[Monomial, Fraction], ...]:
+    return ((_ORIGIN, _ZERO), ((1, 0, 0), _ONE), *(((w + 1, 0, 0), _ZERO) for w in range(1, weight + 1)))
+
+
+def _ratio(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms with a positive denominator, for d != 0."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _slice(coeffs: Mapping[Monomial, tuple[int, int]], u: int) -> tuple[list[Monomial], list[int], int]:
+    """The monomials of weight u, their coefficients as integer numerators
+    over the lcm of their denominators, and that lcm. A monomial missing
+    from coeffs raises KeyError."""
     mons = [(u - a, a - k, k) for a in range(u + 1) for k in range(a + 1)]
-    den, nums = integer_numerators([coeffs[m] for m in mons])
-    return mons, nums, den
+    pairs = [coeffs[m] for m in mons]
+    den = lcm(*(q for _, q in pairs))
+    return mons, [n * (den // q) for n, q in pairs], den
 
 
 def _from_slices(slices) -> Poly:
@@ -192,45 +194,40 @@ def lift_at_origin(F, weight: int) -> LiftResult:
     T = ensure_verified(F)
     if weight < 0:
         raise ValueError("weight must be non-negative")
-    fc = dict(T.f.items())
-    gc = dict(T.g.items())
-    hc = dict(T.h.items())
-    f0 = fc.get(_ORIGIN, _ZERO)
-    g0 = gc.get(_ORIGIN, _ZERO)
-    if not f0 or not g0:
+    fn, gn, hn = T.f._num, T.g._num, T.h._num
+    fden, gden, hden = T.f._den, T.g._den, T.h._den
+    if not fn.get(_ORIGIN) or not gn.get(_ORIGIN):
         raise ValueError("lift needs nonzero constant terms in f and g")
 
-    b: dict[Monomial, Fraction] = {_ORIGIN: f0}
-    d: dict[Monomial, Fraction] = {
-        _ORIGIN: _ZERO,
-        (1, 0, 0): _ONE,
-        (0, 1, 0): g0 / f0,
-        (0, 0, 1): hc.get(_ORIGIN, _ZERO) / f0,
+    f0n, f0d = _ratio(fn[_ORIGIN], fden)
+    b: dict[Monomial, tuple[int, int]] = {_ORIGIN: (f0n, f0d)}
+    d: dict[Monomial, tuple[int, int]] = {
+        _ORIGIN: (0, 1),
+        (1, 0, 0): (1, 1),
+        (0, 1, 0): _ratio(gn[_ORIGIN] * f0d, gden * f0n),
+        (0, 0, 1): _ratio(hn.get(_ORIGIN, 0) * f0d, hden * f0n),
     }
-    d010, d001 = d[(0, 1, 0)], d[(0, 0, 1)]
-    conventions = [(_ORIGIN, _ZERO), ((1, 0, 0), _ONE)]
+    (yn, yd), (zn, zd) = d[(0, 1, 0)], d[(0, 0, 1)]
 
-    # Finished weights as integers: bw[u] and dw[u] are _integer_slice of
-    # weight u of b and of d.
-    bw = [_integer_slice(b, 0)]
-    dw = [_integer_slice(d, 0), _integer_slice(d, 1)]
+    # Finished weights: bw[u] and dw[u] are _slice of weight u of b and d.
+    bw = [_slice(b, 0)]
+    dw = [_slice(d, 0), _slice(d, 1)]
 
     for w in range(1, weight + 1):
-        d[(w + 1, 0, 0)] = _ZERO
-        conventions.append(((w + 1, 0, 0), _ZERO))
+        d[(w + 1, 0, 0)] = (0, 1)
         # Products of two finished weights pair d of weight u in 2..w with
-        # b of weight w+1-u. They are laid out in dense arrays of P^3
-        # slots, sized for this weight so that memory grows with the work
-        # done: dgrad[v] holds e * (numerator of d_ijk) at slot
-        # i + j*P + k*P^2, e being the exponent of variable v, and brefl
-        # holds b_ijk at slot top - (i + j*P + k*P^2), each b weight
-        # rescaled so that all these products lie over the one denominator
-        # den. Other slots hold None, so a product that reads one raises
-        # TypeError instead of reading 0.
+        # b of weight w+1-u, laid out in dense arrays of P^3 slots, sized
+        # per weight so that memory grows with the work done. dgrad[v]
+        # holds e * (numerator of d_ijk) at slot i + j*P + k*P^2, e the
+        # exponent of variable v; brefl holds b_ijk at slot
+        # top - (i + j*P + k*P^2), rescaled so that all these products and
+        # f, g, h lie over den. Other slots hold None, so a product that
+        # reads one raises TypeError instead of reading 0.
         P = w + 2
         top = P**3 - 1
         strides = (1, P, P * P)
-        den = lcm(*(bw[w + 1 - u][2] * dw[u][2] for u in range(2, w + 1)))
+        den = lcm(fden, gden, hden, *(bw[w + 1 - u][2] * dw[u][2] for u in range(2, w + 1)))
+        fs, gs, hs = den // fden, den // gden, den // hden
         brefl: list = [None] * P**3
         dgrad: tuple[list, list, list] = ([None] * P**3, [None] * P**3, [None] * P**3)
         for u in range(2, w + 1):
@@ -244,14 +241,14 @@ def lift_at_origin(F, weight: int) -> LiftResult:
                 for v in range(3):
                     dgrad[v][at] = m[v] * n
 
-        def finished(M: Monomial, v: int) -> Fraction:
-            """Sum of e * b_(M-m) * d_m over the exponents m of d with e,
-            the v-th entry of m, at least 1 and total degree u in 2..w.
-            The slot of b_(M-m) in brefl is that of d_m in dgrad[v] plus
-            off, so the sum runs as strided slices along the longest axis
-            of the box of such m."""
+        def finished(M: Monomial, v: int) -> int:
+            """den times the sum of e * b_(M-m) * d_m over the m of weight
+            2..w with e = m[v] >= 1. b_(M-m) sits in brefl at d_m's slot in
+            dgrad[v] plus off, so the sum runs as strided slices along the
+            longest axis of the box of such m."""
             lo = _UNIT[v]
-            a = max((0, 1, 2), key=lambda x: M[x] - lo[x])
+            ext = (M[0] - lo[0], M[1] - lo[1], M[2] - lo[2])
+            a = ext.index(max(ext))
             p_ax, q_ax = _OTHER_AXES[a]
             sa, sp, sq = strides[a], strides[p_ax], strides[q_ax]
             off = top - M[0] - M[1] * P - M[2] * P * P
@@ -265,7 +262,7 @@ def lift_at_origin(F, weight: int) -> LiftResult:
                         d0 = p * sp + q * sq + x0 * sa
                         d1 = d0 + (x1 - x0) * sa + 1
                         total += sum(map(mul, brefl[off + d0:off + d1:sa], dv[d0:d1:sa]))
-            return Fraction(total, den)
+            return total
 
         for i in range(w, -1, -1):
             rem = w - i
@@ -273,23 +270,26 @@ def lift_at_origin(F, weight: int) -> LiftResult:
                 k = rem - j
                 # b_ijk from the x-equation at (i,j,k); its own term has
                 # factor d_100 = 1, and d_(i+1)jk is the one of weight w+1
-                acc = finished((i + 1, j, k), 0) + (i + 1) * f0 * d[(i + 1, j, k)]
-                b[(i, j, k)] = fc.get((i, j, k), _ZERO) - acc
+                s = fn.get((i, j, k), 0) * fs - finished((i + 1, j, k), 0)
+                dn, dd = d[(i + 1, j, k)]
+                b[(i, j, k)] = _ratio(s * f0d * dd - (i + 1) * f0n * dn * den, den * f0d * dd)
             j = rem
-            # d_i(j+1)0 from the y-equation at (i,j,0); pivot (j+1)*b_000
-            acc = finished((i, j + 1, 0), 1) + b[(i, j, 0)] * d010
-            d[(i, j + 1, 0)] = (gc.get((i, j, 0), _ZERO) - acc) / ((j + 1) * f0)
+            # d_i(j+1)0 from the y-equation at (i,j,0); pivot (j+1)*f0
+            s = gn.get((i, j, 0), 0) * gs - finished((i, j + 1, 0), 1)
+            bn, bd = b[(i, j, 0)]
+            d[(i, j + 1, 0)] = _ratio((s * bd * yd - bn * yn * den) * f0d, den * bd * yd * (j + 1) * f0n)
             for k in range(rem + 1):
                 j = rem - k
-                # d_ij(k+1) from the z-equation at (i,j,k); pivot (k+1)*b_000
-                acc = finished((i, j, k + 1), 2) + b[(i, j, k)] * d001
-                d[(i, j, k + 1)] = (hc.get((i, j, k), _ZERO) - acc) / ((k + 1) * f0)
-        bw.append(_integer_slice(b, w))
-        dw.append(_integer_slice(d, w + 1))
+                # d_ij(k+1) from the z-equation at (i,j,k); pivot (k+1)*f0
+                s = hn.get((i, j, k), 0) * hs - finished((i, j, k + 1), 2)
+                bn, bd = b[(i, j, k)]
+                d[(i, j, k + 1)] = _ratio((s * bd * zd - bn * zn * den) * f0d, den * bd * zd * (k + 1) * f0n)
+        bw.append(_slice(b, w))
+        dw.append(_slice(d, w + 1))
 
     bs = TruncatedSeries._make(_from_slices(bw), weight)
     ds = TruncatedSeries._make(_from_slices(dw), weight + 1)
-    return LiftResult(b=bs, d=ds, weight=weight, conventions=tuple(conventions))
+    return LiftResult(b=bs, d=ds, weight=weight, conventions=_conventions(weight))
 
 
 def verify_lift(result: LiftResult, F) -> bool:
@@ -337,13 +337,11 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
         G = T
         for _ in range(cycles):
             G = cycle_variables(G)
-        conventions = [(_ORIGIN, _ZERO), ((1, 0, 0), _ONE)]
-        conventions += [((w + 1, 0, 0), _ZERO) for w in range(1, weight + 1)]
         lift = LiftResult(
             b=truncate(G.f, weight),
             d=truncate(Poly.variable(0), weight + 1),
             weight=weight,
-            conventions=tuple(conventions),
+            conventions=_conventions(weight),
         )
         return CmCertificate(point=(_ZERO, _ZERO, _ZERO), cycles=cycles, lift=lift)
 

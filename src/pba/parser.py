@@ -13,7 +13,8 @@ A leading '-' is sugar for 0 - expr. '/' is only the rational-constant
 separator; dividing non-constant terms is reported as a dedicated error.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside the interpreter's recursion limit; no product or
-power may multiply more than MAX_TERM_PAIRS term pairs.
+power may multiply more than MAX_TERM_PAIRS term pairs, nor any integer
+have more than MAX_DIGITS digits.
 render() is the canonical inverse: graded-lex descending term order,
 reduced coefficients, explicit '*'. parse(render(p)) == p.
 """
@@ -43,6 +44,7 @@ class ParseError(ValueError):
 MAX_NESTING = 100
 # term pairs of one product, or of one power over all its steps
 MAX_TERM_PAIRS = 10**6
+MAX_DIGITS = 4300
 
 
 def _power_cost(p: Poly, e: int) -> tuple[int, int]:
@@ -77,6 +79,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(i, (), "", f"integer literal longer than {MAX_DIGITS} digits")
             tokens.append((_NUM, text[i:j], i))
             i = j
             continue

@@ -1,19 +1,17 @@
 """Sparse polynomials over Q in the three fixed variables x, y, z.
 
 A polynomial is a dict from exponent triples to nonzero int numerators
-over one positive int denominator, with gcd(den, *numerators) == 1, so
-each value has one form and equality is structural; zero is ({}, 1).
-Arithmetic, exact division and the gcd run on Python ints; a Fraction is
-made only where a coefficient leaves the class (items, coeff,
-leading_coefficient, evaluate). Display and leading terms use graded lex
-order with x > y > z.
+over one positive int denominator, with gcd(den, *numerators) == 1: one
+form per value, so equality is structural; zero is ({}, 1). Arithmetic,
+exact division and the gcd run on ints; a Fraction is made only where a
+coefficient leaves the class (items, coeff, leading_coefficient,
+evaluate). Display and leads use graded lex with x > y > z.
 
-A product convolves the numerators (product_terms) over the product of
-the denominators; given a total-degree cap, the same kernel multiplies
-truncated power series in `lifting`. exact_quotient divides by the
-divisor's primitive part over Z, and by Gauss's lemma stops at the first
-lead coefficient that does not divide (Geddes, Czapor & Labahn,
-"Algorithms for Computer Algebra", 1992).
+A product convolves the numerators (product_terms, which also multiplies
+the capped series of `lifting`) over the product of the denominators.
+exact_quotient divides by the divisor's primitive part over Z and, by
+Gauss's lemma, stops at the first lead coefficient that does not divide
+(Geddes, Czapor & Labahn, "Algorithms for Computer Algebra", 1992).
 """
 
 from __future__ import annotations
@@ -35,6 +33,22 @@ Terms = dict[Monomial, int]
 VARS = ("x", "y", "z")
 
 _ORIGIN_MONO: Monomial = (0, 0, 0)
+
+
+def int_text(n: int) -> str:
+    """str(n) past the digit limit of str, by splitting at a power of 10."""
+    if n.bit_length() <= 2000:  # under 640 digits, the lowest limit
+        return str(n)
+    if n < 0:
+        return "-" + int_text(-n)
+    k = n.bit_length() * 3 // 20  # about half the digits
+    hi, lo = divmod(n, 10**k)
+    return int_text(hi) + int_text(lo).zfill(k)
+
+
+def rat_text(q: Fraction) -> str:
+    """str(q) at any size."""
+    return int_text(q.numerator) + (f"/{int_text(q.denominator)}" if q.denominator != 1 else "")
 
 
 def _var_index(var: Union[str, int]) -> int:
@@ -279,7 +293,7 @@ class Poly:
             n = self._num[mono]
             g = igcd(n, self._den)
             a, d = abs(n) // g, self._den // g
-            mag = f"{a}/{d}" if d != 1 else str(a)
+            mag = f"{int_text(a)}/{int_text(d)}" if d != 1 else int_text(a)
             body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, mono) if e)
             text = mag if not body else body if mag == "1" else f"{mag}*{body}"
             if not parts:

@@ -3,32 +3,23 @@
 Documents carry a top-level "schema": "pba/1" marker. Polynomials are
 serialized as their canonical render strings and rationals as exact
 strings like "9/2", so a document parses back through the expression
-grammar without loss. dumps() fixes key order and indentation, making
+grammar without loss while its numbers fit parser.MAX_DIGITS. dumps() fixes key order and indentation, making
 load-then-dump byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
-from .poly import Poly
+from .poly import Poly, rat_text
 from .spectrum import PointClass, SpectrumReport
 
 SCHEMA = "pba/1"
 
 
-def _rat(q: Fraction) -> str:
-    return str(q)
-
-
-def _point(p) -> list[str]:
-    return [_rat(c) for c in p]
-
-
 def _point_class(pc: PointClass) -> dict:
     return {
-        "point": _point(pc.point),
+        "point": [rat_text(c) for c in pc.point],
         "kind": pc.kind.value,
         "parameter": str(pc.parameter) if pc.parameter is not None else None,
     }

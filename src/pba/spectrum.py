@@ -1,20 +1,19 @@
 """Poisson ideal classification for quasi-exact brackets.
 
-For coprime s, t the bracket qm_exact(s, t) admits a clean description of
-its Poisson prime spectrum: the zero ideal, primes containing the ideal
-generated by the bracket components (the residually null stratum, whose
-maximal members correspond to common zeros of s, t and singular points of
-pencil members), and the height-one primes generated by irreducible
-factors of lambda*s - mu*t. A factor is Poisson primitive exactly when
-its multiplicity in the pencil member is one. spectrum_report bundles the
-three strata; the pencil is sampled at user-supplied parameters since the
-full projective family cannot be listed.
+For coprime s, t the Poisson prime spectrum of qm_exact(s, t) has three
+strata: the zero ideal; primes containing the ideal of the bracket
+components (the residually null stratum, whose maximal members are common
+zeros of s, t and singular points of pencil members); and height-one
+primes generated by irreducible factors of lambda*s - mu*t, Poisson
+primitive exactly when of multiplicity one in the member. spectrum_report
+bundles them, sampling the pencil at user-supplied parameters since the
+projective family cannot be listed.
 
-Validation happens once per call. Each public entry that needs the bracket
-builds qm_exact_triple(s, t) first, which rejects a zero or non-coprime
-pair (triples.require_coprime) and checks Jacobi; the private helpers take
-that verified triple and check nothing again. classify_point, which needs
-no bracket, runs require_coprime alone.
+Validation happens once per call: each public entry that needs the
+bracket builds qm_exact_triple(s, t), which rejects a zero or non-coprime
+pair (triples.require_coprime) and checks Jacobi, and the private helpers
+check nothing again. classify_point, which needs no bracket, runs
+require_coprime alone.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from typing import Sequence
 
 from .factor import factor_bounded
 from .groebner import GroebnerBasis, buchberger, dimension, is_unit_ideal, rational_points
-from .poly import Point, Poly, ScalarLike
+from .poly import Point, Poly, ScalarLike, rat_text
 from .triples import (
     NotCoprimeError,
     PoissonTriple,
@@ -65,7 +64,7 @@ class PencilParameter:
             raise ValueError(f"bad pencil parameter {text!r}: {exc}") from None
 
     def __str__(self) -> str:
-        return f"{self.lam}:{self.mu}"
+        return f"{rat_text(self.lam)}:{rat_text(self.mu)}"
 
 
 class PointKind(Enum):
@@ -98,12 +97,10 @@ class HeightOnePrime:
 
 @dataclass(frozen=True)
 class ResiduallyNullStratum:
-    """Primes containing the bracket-component ideal I = <f, g, h>.
-
-    For dimension 0 the maximal members are enumerated as classified
-    rational points (eliminants record any branches with no rational
-    root); higher dimension is reported by basis and dimension only.
-    """
+    """Primes containing the bracket-component ideal I = <f, g, h>. In
+    dimension 0 the maximal members are listed as classified rational
+    points (eliminants record branches with no rational root); otherwise
+    only the basis and dimension are reported."""
 
     basis: GroebnerBasis
     dimension: int
@@ -251,12 +248,9 @@ def is_poisson_simple_quotient(
     s: Poly, t: Poly, param: PencilParameter, max_deg: int = 3
 ) -> bool:
     """Does the member's quotient algebra have no proper nonzero Poisson
-    ideal? Equivalent to smoothness of its surface, tested as the unit
-    ideal condition on the member and its partials.
-
-    Requires a finite Poisson maximal locus and a member certified
-    irreducible within the bound.
-    """
+    ideal? That is smoothness of its surface: the member and its partials
+    generate the unit ideal. Requires a finite Poisson maximal locus and a
+    member certified irreducible within the bound."""
     F = qm_exact_triple(s, t)
     member = _nonunit_member(s, t, param)
     if dimension(residually_null_ideal(F)) > 0:

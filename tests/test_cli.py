@@ -11,6 +11,7 @@ import pytest
 
 from pba import cli
 from pba.cli import main
+from pba.parser import MAX_DIGITS
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -200,6 +201,57 @@ def test_spectrum_large_quadratic_eliminant(n, points):
     stratum = json.loads(out)["residually_null"]
     assert [p["point"] for p in stratum["points"]] == points
     assert stratum["eliminants"] == ([] if points else [f"x^2 - {n}"])
+
+
+def decimal_value(text: str) -> int:
+    """The int that a decimal string names, read in chunks that int()
+    accepts at any setting of the digit limit."""
+    value = 0
+    for i in range(0, len(text), 500):
+        chunk = text[i:i + 500]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_integer_literal_past_the_digit_bound_is_a_usage_error():
+    for lhs in ("1" + "0" * 5000, "x^1" + "0" * 5000):
+        code, out, err = run_cli("bracket", "--f", "0", "--g", "0", "--h", "1", "--lhs", lhs, "--rhs", "y")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --lhs: offset ")
+        assert f"longer than {MAX_DIGITS} digits" in err
+
+
+def test_bracket_prints_a_coefficient_past_the_str_digit_limit():
+    # {(2x)^20000, y} = 20000 * 2^20000 * x^19999: 6025 digits
+    code, out, err = run_cli(
+        "bracket", "--f", "0", "--g", "0", "--h", "1", "--lhs", "(2*x)^20000", "--rhs", "y"
+    )
+    assert (code, err) == (0, "")
+    coeff, mono = out.rstrip("\n").split("*")
+    assert mono == "x^19999"
+    assert len(coeff) == 6025
+    assert decimal_value(coeff) == 20000 * 2**20000
+
+
+def test_spectrum_prints_points_past_the_str_digit_limit():
+    # the singular point (2^19999, 0, 0) lies on the member s - c*t with
+    # c = s(point) = -2^39998; 6021 and 12041 digits
+    argv = ("spectrum", "--s", "x^2 - 2^20000*x + y^2 + z^2", "--params", "1:0")
+    big, bigger = 2**19999, 2**39998
+    code, out, err = run_cli(*argv, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    (point,) = doc["residually_null"]["points"]
+    assert point["point"][1:] == ["0", "0"]
+    assert decimal_value(point["point"][0]) == big
+    assert point["parameter"].startswith("1:-")
+    assert decimal_value(point["parameter"][3:]) == bigger
+    head, tail = doc["s"].rsplit(" - ", 1)
+    assert head == "x^2 + y^2 + z^2" and decimal_value(tail.removesuffix("*x")) == 2 * big
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    assert f"  point ({point['point'][0]}, 0, 0): " in out
+    assert f"({doc['s']})" in out
 
 
 def test_lift_certificate():

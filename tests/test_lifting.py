@@ -1,11 +1,14 @@
 """Tests for truncated series and completion-exactness certificates."""
 
+import fractions
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import pba.lifting
 from pba.lifting import (
     CmCertificate,
     PointSearchError,
@@ -286,6 +289,15 @@ units = small.filter(bool)
 low_monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 
 
+def assert_matches_oracle(T, result, weight: int) -> None:
+    """result is the oracle's lift of T, in canonical form."""
+    b, d = fraction_lift(T, weight)
+    assert dict(result.b.items()) == b
+    assert dict(result.d.items()) == d
+    assert result.b == TruncatedSeries(b, weight)
+    assert result.d == TruncatedSeries(d, weight + 1)
+
+
 @given(
     st.dictionaries(low_monos, small, max_size=4),
     units, units, units, small,
@@ -304,9 +316,32 @@ def test_lift_matches_fraction_recurrence(extra, sx, sy, t0, tz, weight):
         assume(False)
     assume(T.f.constant_term() and T.g.constant_term())
     result = lift_at_origin(T, weight)
-    b, d = fraction_lift(T, weight)
-    assert dict(result.b.items()) == b
-    assert dict(result.d.items()) == d
+    assert_matches_oracle(T, result, weight)
+    assert verify_lift(result, T)
+
+
+wide = st.fractions(min_value=-5, max_value=5, max_denominator=30)
+
+
+@given(
+    st.dictionaries(low_monos, small, max_size=4),
+    wide.filter(bool), wide.filter(bool), st.just(Fraction(0)) | wide, small, small,
+    st.integers(0, 6),
+)
+@settings(max_examples=40, deadline=None)
+def test_lift_matches_fraction_recurrence_wide_base_values(extra, f0, g0, h0, tx, tz, weight):
+    # s(0) = 0 and t(0) = 1 make F(0) = grad(s)(0) = (f0, g0, h0): signs
+    # and denominators up to 30 reach the pivots, and h0 is often 0
+    higher = Poly({m: c for m, c in extra.items() if sum(m) > 1})
+    s = higher + f0 * X + g0 * Y + h0 * Z
+    t = 1 + tx * X + tz * Z
+    try:
+        T = qm_exact_triple(s, t)
+    except ValueError:
+        assume(False)
+    assert (T.f.constant_term(), T.g.constant_term(), T.h.constant_term()) == (f0, g0, h0)
+    result = lift_at_origin(T, weight)
+    assert_matches_oracle(T, result, weight)
     assert verify_lift(result, T)
 
 
@@ -314,7 +349,59 @@ def test_lift_matches_fraction_recurrence_at_weight_nine():
     s = X / 2 - Y / 3 + X * Z / 5 + Y**2 * Z
     t = Fraction(3, 4) + X / 7 - Z
     T = qm_exact_triple(s, t)
-    result = lift_at_origin(T, 9)
-    b, d = fraction_lift(T, 9)
-    assert dict(result.b.items()) == b
-    assert dict(result.d.items()) == d
+    assert_matches_oracle(T, lift_at_origin(T, 9), 9)
+
+
+def test_lift_matches_fraction_recurrence_at_weight_fourteen():
+    # f(0) = 2/21, g(0) = -5/27 and h(0) = 0
+    s = -3 * X / 7 + 5 * Y / 6 + X * Z / 5 + Y**2 * Z - Z**3 / 2
+    t = Fraction(-2, 9) + X / 3 - Z
+    T = qm_exact_triple(s, t)
+    assert (T.f.constant_term(), T.g.constant_term(), T.h.constant_term()) == (
+        Fraction(2, 21), Fraction(-5, 27), 0)
+    result = lift_at_origin(T, 14)
+    assert_matches_oracle(T, result, 14)
+    assert verify_lift(result, T)
+
+
+def test_certificate_at_half_integer_point_matches_fraction_recurrence():
+    # f*g = (x^3-x)^2 vanishes on the integer box, so the base point has a
+    # half-integer coordinate and the translated triple has denominators
+    F = grad(X + Y + Z**2 / 2).scale(X**3 - X)
+    cert = cm_certificate(F, 6, search_box=1)
+    assert cert.cycles == 0
+    assert any(c.denominator == 2 for c in cert.point)
+    moved = verify_triple(PolyVec(*(c.translate(cert.point) for c in F)))
+    assert_matches_oracle(moved, cert.lift, 6)
+    assert verify_certificate(cert, F)
+
+
+def test_lift_kernel_makes_no_fraction(monkeypatch):
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            made.append(frame.f_code.co_name)
+
+    monkeypatch.setattr(pba.lifting, "Fraction", counting_fraction)
+    T = qm_exact_triple(X / 2 - Y / 3 + X * Z / 5 + Y**2 * Z, Fraction(3, 4) + X / 7 - Z)
+    sys.setprofile(profile)
+    try:
+        result = lift_at_origin(T, 10)
+    finally:
+        sys.setprofile(None)
+    assert made == []
+    assert verify_lift(result, T)
+    # the counter sees the Fractions the module makes elsewhere
+    next(pba.lifting._base_points(0))
+    assert made
+
+
+def test_ratio_is_reduced_over_a_positive_denominator():
+    assert pba.lifting._ratio(3, -6) == (-1, 2)
+    assert pba.lifting._ratio(-4, -6) == (2, 3)
+    assert pba.lifting._ratio(0, -5) == (0, 1)

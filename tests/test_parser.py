@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pba.parser import MAX_NESTING, MAX_TERM_PAIRS, ParseError, _power_cost, parse, render
+from pba.parser import MAX_DIGITS, MAX_NESTING, MAX_TERM_PAIRS, ParseError, _power_cost, parse, render
 from pba.poly import Poly, X, Y, Z
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
@@ -100,6 +100,15 @@ def test_expansion_is_bounded_before_it_runs():
             parse(text)
     # a single term is raised directly, at any exponent
     assert parse("(2*x*y)^100000").leading_monomial() == (100000, 100000, 0)
+
+
+def test_integer_literals_are_bounded_in_length():
+    assert parse("1" + "0" * (MAX_DIGITS - 1)) == Poly.constant(10 ** (MAX_DIGITS - 1))
+    assert parse("x^0" + "0" * (MAX_DIGITS - 1)) == Poly.one()
+    long = "9" * (MAX_DIGITS + 1)
+    for text, offset in ((long, 0), (f"x + 1/{long}", 6), (f"x^{long}", 2)):
+        with pytest.raises(ParseError, match=f"offset {offset}: integer literal longer than {MAX_DIGITS} digits"):
+            parse(text)
 
 
 def test_minus_is_expected_only_where_an_expression_starts():

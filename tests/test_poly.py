@@ -23,6 +23,8 @@ from pba.poly import (
     exact_quotient,
     gcd,
     gcd_many,
+    int_text,
+    rat_text,
     squarefree_decomposition,
 )
 
@@ -550,3 +552,35 @@ def test_integer_kernels_make_no_fractions():
     finally:
         sys.setprofile(None)
     assert made
+
+
+def digits_of(n: int) -> str:
+    """Decimal digits of n >= 0 by repeated division, as a reference that
+    str's digit limit does not apply to."""
+    out = []
+    while True:
+        n, r = divmod(n, 10**100)
+        out.append(str(r).zfill(100))
+        if not n:
+            return "".join(reversed(out)).lstrip("0") or "0"
+
+
+@given(st.integers(0, 30000), st.integers(0, 10**6), st.booleans())
+@settings(max_examples=60)
+def test_int_text_at_any_size(bits, low, negative):
+    n = (1 << bits) + low
+    n = -n if negative else n
+    assert int_text(n) == ("-" if negative else "") + digits_of(abs(n))
+    if abs(n).bit_length() < 10000:
+        assert int_text(n) == str(n)
+
+
+def test_int_text_pins():
+    assert int_text(0) == "0"
+    assert int_text(-7) == "-7"
+    assert int_text(10**5000) == "1" + "0" * 5000
+    assert int_text(10**5000 - 1) == "9" * 5000
+    assert rat_text(Fraction(-(10**5000), 3)) == "-1" + "0" * 5000 + "/3"
+    assert rat_text(Fraction(4, 6)) == "2/3"
+    assert rat_text(Fraction(-5)) == "-5"
+    assert str(Poly.constant(Fraction(1, 10**5000))) == "1/1" + "0" * 5000
