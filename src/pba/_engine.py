@@ -1,17 +1,15 @@
 """Gröbner machinery over raw exponent-tuple polynomials.
 
-An Epoly maps exponent tuples of any fixed width to nonzero ints or
-Fractions: callers pass a Poly's integer numerators (a constant multiple
-of it), and the solver passes back the monic Fraction bases it makes.
-groebner.py wraps it for three variables; the factor-search ansatz adds
-one tuple slot per unknown coefficient, so nothing assumes width three.
+An Epoly maps exponent tuples of any fixed width to nonzero ints, and
+bases come back primitive with a positive lead. groebner.py wraps it for
+three variables; the factor-search ansatz adds one tuple slot per unknown
+coefficient, so nothing assumes width three.
 
 Variable precedence follows tuple position (slot 0 highest). Buchberger
-keeps each basis element primitive over Z with its lead alongside,
-reduces fraction-free, and makes Fractions only for the monic reduced
-basis it returns. Pairs go smallest lcm first and are pruned by the
-Gebauer-Moller update (J. Symb. Comp. 6, 1988); normal_form and certify
-use the same reduction.
+keeps each basis element primitive with its lead alongside and reduces
+fraction-free; the solver substitutes a root a/b scaled by b^deg. Pairs
+go smallest lcm first and are pruned by the Gebauer-Moller update (J.
+Symb. Comp. 6, 1988); normal_form and certify use the same reduction.
 
 Inputs are read-only and every polynomial returned is a fresh dict, so
 callers may pass the term dicts of immutable polynomials uncopied.
@@ -25,13 +23,12 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd as igcd, isqrt, lcm
 from operator import add, le, sub
-from typing import Collection, Union
+from typing import Collection
 
 Mono = tuple[int, ...]
-Epoly = dict[Mono, Union[int, Fraction]]
+Epoly = dict[Mono, int]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def lex_key(m: Mono):
@@ -70,15 +67,14 @@ Reducer = tuple[Mono, int, list[tuple[Mono, int]]]
 
 
 def _reducer(p: Epoly, key) -> Reducer:
-    """Nonzero p cleared to a primitive integer polynomial with positive
-    lead coefficient, as (lead, lead coefficient, other terms)."""
+    """Nonzero p made primitive with a positive lead, as (lead monomial,
+    its coefficient, other terms)."""
     lm = max(p, key=key)
-    p = dict(zip(p, integer_numerators(p.values())[1]))
     g = igcd(*p.values()) if p[lm] > 0 else -igcd(*p.values())
     return lm, p[lm] // g, [(m, c // g) for m, c in p.items() if m != lm]
 
 
-def _reduce(p: dict[Mono, int], reducers: list[Reducer], key) -> tuple[dict[Mono, int], int]:
+def _reduce(p: Epoly, reducers: list[Reducer], key) -> tuple[Epoly, int]:
     """Full remainder of integer p under division by the reducers, scanning
     them in order, fraction-free: returns (r, s) with s > 0 such that r / s
     is the remainder over Q. Before a term c is cancelled against a leading
@@ -87,7 +83,7 @@ def _reduce(p: dict[Mono, int], reducers: list[Reducer], key) -> tuple[dict[Mono
     than the one it cancels, so a term that has left never comes back."""
     work = dict(p)
     todo = sorted(work, key=key)  # ascending, and may hold cancelled terms
-    rem: dict[Mono, int] = {}
+    rem: Epoly = {}
     scale = 1
     while todo:
         m = todo.pop()
@@ -121,12 +117,12 @@ def _reduce(p: dict[Mono, int], reducers: list[Reducer], key) -> tuple[dict[Mono
     return rem, scale
 
 
-def _spoly(a: Reducer, b: Reducer, big: Mono) -> dict[Mono, int]:
+def _spoly(a: Reducer, b: Reducer, big: Mono) -> Epoly:
     """Integer S-polynomial of a and b over the lcm big of their leads, each
     side scaled by the other's lead coefficient over their gcd; the leads
     cancel, so only the tails are formed."""
     g = igcd(a[1], b[1])
-    out: dict[Mono, int] = {}
+    out: Epoly = {}
     for (lm, _, tail), f in ((a, b[1] // g), (b, -a[1] // g)):
         shift = mono_sub(big, lm)
         for m, c in tail:
@@ -139,7 +135,7 @@ def _spoly(a: Reducer, b: Reducer, big: Mono) -> dict[Mono, int]:
     return out
 
 
-def normal_form(p: dict[Mono, int], basis: list[Epoly], key) -> tuple[dict[Mono, int], int]:
+def normal_form(p: Epoly, basis: list[Epoly], key) -> tuple[Epoly, int]:
     """Full remainder of integer p under division by the basis, scanning
     divisors in basis order, as (r, s) for the remainder r / s; unique when
     the basis is a Gröbner basis."""
@@ -147,8 +143,9 @@ def normal_form(p: dict[Mono, int], basis: list[Epoly], key) -> tuple[dict[Mono,
 
 
 def buchberger(gens: list[Epoly], key) -> list[Epoly]:
-    """Reduced Gröbner basis (monic, fully inter-reduced, sorted by
-    descending leading monomial). Deterministic for fixed input."""
+    """Reduced Gröbner basis (primitive, positive lead term first, fully
+    inter-reduced, sorted by descending leading monomial). Deterministic
+    for fixed input."""
     polys: list[Reducer] = []
     live: list[int] = []  # indices of the elements new pairs are made with
     pending: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
@@ -195,16 +192,16 @@ def buchberger(gens: list[Epoly], key) -> list[Epoly]:
     for lm, lc, tail in minimal:
         rem, scale = _reduce(dict(tail), done, key)
         done.append(_reducer({lm: lc * scale, **rem}, key))
-    return [{lm: _ONE, **{m: Fraction(c, lc) for m, c in tail}} for lm, lc, tail in reversed(done)]
+    return [{lm: lc, **dict(tail)} for lm, lc, tail in reversed(done)]
 
 
-def is_unit(basis: list[Epoly], key) -> bool:
-    return len(basis) == 1 and len(basis[0]) == 1 and sum(max(basis[0], key=key)) == 0
+def is_unit(basis: list[Epoly]) -> bool:
+    return len(basis) == 1 and len(basis[0]) == 1 and not any(*basis[0])
 
 
 def certify(gens: list[Epoly], basis: list[Epoly], key) -> bool:
-    """Gröbner certificate: every input generator, given as integers, and
-    every S-polynomial of the basis reduces to zero against the basis."""
+    """Gröbner certificate: every input generator and every S-polynomial
+    of the basis reduces to zero against the basis."""
     reducers = [_reducer(b, key) for b in basis]
     for g in gens:
         if g and _reduce(g, reducers, key)[0]:
@@ -219,7 +216,7 @@ def certify(gens: list[Epoly], basis: list[Epoly], key) -> bool:
 def dimension(basis: list[Epoly], nvars: int, key) -> int:
     """Krull dimension of the quotient ring via maximal variable subsets
     independent of the leading-term ideal; -1 for the unit ideal."""
-    if is_unit(basis, key):
+    if is_unit(basis):
         return -1
     lts = [max(b, key=key) for b in basis]
     supports = [frozenset(i for i, e in enumerate(m) if e) for m in lts]
@@ -296,26 +293,20 @@ def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], l
     return sorted(set(roots)), residual
 
 
-def _subst_last(p: Epoly, value: Fraction) -> Epoly:
+def _subst_last(p: Epoly, r: Fraction) -> Epoly:
+    """b^deg * p(..., a/b) for r = a/b: integral."""
+    a, b = r.numerator, r.denominator
+    deg = max(m[-1] for m in p)
     out: Epoly = {}
     for m, c in p.items():
-        k = m[:-1]
-        v = out.get(k, _ZERO) + c * value ** m[-1]
-        if v:
-            out[k] = v
-        else:
-            out.pop(k, None)
-    return out
+        out[m[:-1]] = out.get(m[:-1], 0) + c * a ** m[-1] * b ** (deg - m[-1])
+    return {k: v for k, v in out.items() if v}
 
 
-def _univariate_in_last(p: Epoly) -> bool:
-    return all(all(e == 0 for e in m[:-1]) for m in p)
-
-
-def solve_rational(gens: list[Epoly], nvars: int) -> tuple[list[tuple[Fraction, ...]], bool, list[tuple[int, list[Fraction]]]]:
-    """All rational points of a zero-dimensional system, by pure lex
-    elimination: peel rational roots of the last-variable eliminant,
-    substitute, and recurse, backtracking over every rational branch.
+def solve_rational(basis: list[Epoly], nvars: int) -> tuple[list[tuple[Fraction, ...]], bool, list[tuple[int, list[Fraction]]]]:
+    """All rational points of a zero-dimensional ideal from its reduced lex
+    basis: peel rational roots of the last-variable eliminant, substitute,
+    and recurse, backtracking over every rational branch.
 
     Returns (points sorted, complete, eliminants). complete is False when
     some branch eliminant has a nonconstant cofactor with no rational
@@ -323,38 +314,27 @@ def solve_rational(gens: list[Epoly], nvars: int) -> tuple[list[tuple[Fraction, 
     coefficient list) pairs.
     """
     sink: list[tuple[int, list[Fraction]]] = []
-    points, complete = _solve_rec(gens, nvars, sink)
+    points, complete = _solve_rec(basis, nvars, sink)
     points.sort()
     return points, complete, sink
 
 
-def _solve_rec(gens: list[Epoly], n: int, sink) -> tuple[list[tuple[Fraction, ...]], bool]:
-    gens = [g for g in gens if g]
-    for g in gens:
-        if all(all(e == 0 for e in m) for m in g):
-            return [], True  # nonzero constant: inconsistent branch
-    if n == 0:
-        return [()], True
-    if not gens:
-        return [], False  # unconstrained variables: not zero-dimensional
-    basis = buchberger(gens, lex_key)
-    if is_unit(basis, lex_key):
-        return [], True
-    elim = [g for g in basis if _univariate_in_last(g)]
-    if not elim:
-        return [], False
-    e = min(elim, key=lambda g: max(m[-1] for m in g))
-    deg = max(m[-1] for m in e)
-    coeffs = [_ZERO] * (deg + 1)
+def _solve_rec(basis: list[Epoly], n: int, sink) -> tuple[list[tuple[Fraction, ...]], bool]:
+    if not basis or any(any(m[:-1]) for m in basis[-1]):
+        return [], False  # no eliminant: not zero-dimensional
+    e = basis[-1]  # its lead is a power of the last variable
+    coeffs = [0] * (max(m[-1] for m in e) + 1)
     for m, c in e.items():
         coeffs[m[-1]] = c
     roots, residual = univariate_rational_roots(coeffs)
     complete = len(residual) == 1
     if not complete:
         sink.append((n - 1, residual))
+    if n == 1:  # a reduced basis in one variable is e alone
+        return [(r,) for r in roots], complete
     points: list[tuple[Fraction, ...]] = []
     for r in roots:
-        sub = [_subst_last(g, r) for g in basis]
+        sub = buchberger([_subst_last(g, r) for g in basis], lex_key)
         sub_points, sub_complete = _solve_rec(sub, n - 1, sink)
         complete = complete and sub_complete
         points.extend(pt + (r,) for pt in sub_points)

@@ -57,6 +57,13 @@ def load_corpus(text: str) -> list[CorpusEntry]:
             parse(item["s"])
             parse(item["t"])
             expected = dict(item["expected"])
+            if "maximal_points" in expected:
+                rows = expected["maximal_points"]
+                if type(rows) is not list or any(type(r) is not list or len(r) != 3 for r in rows):
+                    raise ValueError("maximal_points: needs rows of 3 rationals")
+                expected["maximal_points"] = {tuple(map(Fraction, r)) for r in rows}
+            if type(expected.get("residually_null_dimension", 0)) is not int:
+                raise ValueError("residually_null_dimension: needs an int")
             for key, rows in expected.get("height_one", {}).items():
                 PencilParameter.parse(key)
                 for row in rows:
@@ -74,7 +81,7 @@ def load_corpus(text: str) -> list[CorpusEntry]:
                     expected=expected,
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             name = item.get("name", "?") if isinstance(item, dict) else "?"
             why = f"missing {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"bad corpus entry {name!r}: {why}") from None
@@ -97,11 +104,10 @@ def _check_entry(entry: CorpusEntry) -> CorpusResult:
 
     want_points = entry.expected.get("maximal_points")
     if want_points is not None:
-        expected_pts = {tuple(Fraction(c) for c in p) for p in want_points}
         got_pts = {pc.point for pc in stratum.points}
-        if expected_pts != got_pts:
+        if want_points != got_pts:
             diffs.append(
-                f"maximal_points: expected {_fmt_points(expected_pts)}, got {_fmt_points(got_pts)}"
+                f"maximal_points: expected {_fmt_points(want_points)}, got {_fmt_points(got_pts)}"
             )
 
     for param_text, want_rows in entry.expected.get("height_one", {}).items():

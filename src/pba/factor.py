@@ -118,7 +118,7 @@ def _ansatz_search(q: Poly, d: int, slabs: list[tuple[Monomial, int, int]]) -> t
         if not system:
             return Poly.term(1, m), proper_seen
         basis = _engine.buchberger(system, _engine.lex_key)
-        if _engine.is_unit(basis, _engine.lex_key):
+        if _engine.is_unit(basis):
             continue
         points, _, _ = _engine.solve_rational(basis, len(unknowns))
         if points:

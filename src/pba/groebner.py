@@ -2,7 +2,8 @@
 
 Variable precedence is fixed at x > y > z for both supported orders.
 Bases are reduced and monic, so equal ideals yield equal bases and the
-results are deterministic for fixed input.
+results are deterministic for fixed input. The engine's primitive
+integer bases are made monic here.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def buchberger(gens: Sequence[Poly], order: TermOrder = TermOrder.GRLEX) -> Groe
     if not gens:
         raise ValueError("empty generator list")
     basis = _engine.buchberger([g._num for g in gens], _KEYS[order])
-    return GroebnerBasis(gens, tuple(map(Poly, basis)), order)
+    return GroebnerBasis(gens, tuple(Poly._make(b, next(iter(b.values()))) for b in basis), order)
 
 
 def normal_form(p: Poly, G: GroebnerBasis) -> Poly:
@@ -87,7 +88,8 @@ def rational_points(G: GroebnerBasis) -> RationalPoints:
     extraction and back-substitution."""
     if dimension(G) != 0:
         raise ValueError("ideal is not zero-dimensional")
-    pts, complete, sink = _engine.solve_rational([g._num for g in G.generators], 3)
+    lex = _engine.buchberger([g._num for g in G.generators], _engine.lex_key)
+    pts, complete, sink = _engine.solve_rational(lex, 3)
     eliminants = [Poly((tuple(i * (v == var) for v in range(3)), c) for i, c in enumerate(coeffs))
                   for var, coeffs in sink]
     points = tuple((p[0], p[1], p[2]) for p in pts)

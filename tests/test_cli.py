@@ -327,9 +327,20 @@ def test_corpus_detects_mismatch(tmp_path):
          "bad corpus entry 'sl2': height_one[1:0]: "),
         (lambda e: e["expected"]["height_one"]["1:0"][0].update({"generator": "x +"}),
          "bad corpus entry 'sl2': offset 3"),
+        (lambda e: e["expected"].update({"maximal_points": [1]}),
+         "bad corpus entry 'sl2': maximal_points: "),
+        (lambda e: e["expected"].update({"maximal_points": [[None, 0, 0]]}),
+         "bad corpus entry 'sl2': "),
+        (lambda e: e["expected"].update({"maximal_points": [["a", "0", "0"]]}),
+         "bad corpus entry 'sl2': "),
+        (lambda e: e["expected"].update({"maximal_points": [["1/0", "0", "0"]]}),
+         "bad corpus entry 'sl2': "),
+        (lambda e: e["expected"].update({"residually_null_dimension": "0"}),
+         "bad corpus entry 'sl2': residually_null_dimension: "),
     ],
     ids=["row-without-multiplicity", "bad-parameter-key", "zero-multiplicity",
-         "string-primitive", "bad-generator"],
+         "string-primitive", "bad-generator", "point-not-a-row", "null-coordinate",
+         "non-numeric-coordinate", "zero-denominator", "string-dimension"],
 )
 def test_corpus_malformed_expected_row(tmp_path, edit, message):
     from pba.corpus import bundled_corpus_text

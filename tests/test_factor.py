@@ -7,6 +7,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pba import _engine
 from pba.factor import FactorPart, Factorization, factor_bounded
 from pba.parser import parse
 from pba.poly import Poly, X, Y, Z, divides
@@ -206,3 +207,19 @@ def test_newton_pruning_keeps_the_extension_flag():
     assert [(str(p.factor), p.absolutely_irreducible_certified) for p in r.parts] == [
         ("x^2*y^2*z^2 + 1", False)
     ]
+
+
+@pytest.mark.parametrize(
+    "p, bound, calls",
+    [(X**2 - 2 * Y**2, 2, 1), ((X - Fraction(1, 2)) * (2 * Y + 3 * Z - 1), 2, 1)],
+    ids=["x^2-2y^2", "two-linears"],
+)
+def test_one_buchberger_per_ansatz_system(monkeypatch, p, bound, calls):
+    # one lex Buchberger per ansatz system: the solver takes the basis
+    # the search computed
+    made = []
+    buchberger = _engine.buchberger
+    monkeypatch.setattr(_engine, "buchberger", lambda *args: made.append(1) or buchberger(*args))
+    r = factor_bounded(p, bound)
+    assert r.complete and rebuild(r) == p
+    assert len(made) == calls

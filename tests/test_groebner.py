@@ -1,9 +1,11 @@
 """Tests for the Groebner layer, cross-checked against sympy."""
 
+import fractions
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 import sympy as sp
@@ -154,6 +156,65 @@ def test_engine_leaves_its_inputs_alone():
         assert hash(q) == digest
 
 
+def test_engine_makes_no_fraction(monkeypatch):
+    # integers in, primitive integers out: the Gröbner routines neither
+    # construct a Fraction nor run any code of the fractions module
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            made.append(frame.f_code.co_name)
+
+    monkeypatch.setattr(_engine, "Fraction", counting_fraction)
+    gens = [g._num for g in (4 * X**2 - 9 * Y, 6 * X * Y - 4 * Z + 2, 10 * Z**2 - 3 * X)]
+    p = (X**3 * Y - 5 * Z + 7)._num
+    for key in (_engine.grlex_key, _engine.lex_key):
+        sys.setprofile(profile)
+        try:
+            basis = _engine.buchberger(gens, key)
+            _engine.normal_form(p, basis, key)
+            certified = _engine.certify(gens, basis, key)
+        finally:
+            sys.setprofile(None)
+        assert made == []
+        assert certified
+        for b in basis:
+            lead = max(b, key=key)
+            assert next(iter(b)) == lead and b[lead] > 0
+            assert all(type(c) is int for c in b.values()) and gcd(*b.values()) == 1
+    # the counter sees the Fractions the module makes elsewhere
+    _engine.solve_rational(_engine.buchberger([(2 * Z - 1)._num], _engine.lex_key), 3)
+    assert made
+
+
+def _lagrange(zs, values) -> Poly:
+    """The polynomial in z of degree < len(zs) through (zs[i], values[i])."""
+    return sum((v * prod((Z - w) / (z - w) for w in zs if w != z) for z, v in zip(zs, values)),
+               Poly.zero())
+
+
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@given(st.lists(st.tuples(small_rationals, small_rationals, small_rationals),
+                min_size=1, max_size=3, unique_by=lambda p: p[2]))
+@settings(max_examples=40, deadline=None)
+def test_rational_points_with_denominators(points):
+    # <prod(z - z_i), x - X(z), y - Y(z)> vanishes exactly on the points,
+    # so every root a/b is substituted with its denominator
+    zs = [p[2] for p in points]
+    gens = [prod((Z - z for z in zs), start=Poly.one()),
+            X - _lagrange(zs, [p[0] for p in points]),
+            Y - _lagrange(zs, [p[1] for p in points])]
+    found = rational_points(buchberger(gens))
+    assert found.complete and found.eliminants == ()
+    assert found.points == tuple(sorted(points))
+
+
 def test_lex_order_elimination():
     G = buchberger([X - Y**2, Y - Z], order=TermOrder.LEX)
     # lex with x > y > z eliminates x first
@@ -248,10 +309,12 @@ def test_ansatz_systems_match_sympy_lex():
                 return sp.Add(*(sp.Rational(c.numerator, c.denominator)
                                 * sp.Mul(*(v**e for v, e in zip(cs, m))) for m, c in p.items()))
 
+            # the engine returns primitive integer elements; made monic
+            # under lex, they must be sympy's reduced basis term for term
             ours = _engine.buchberger(system, _engine.lex_key)
             theirs = sp.groebner([sym(p) for p in system], *cs, order="lex", domain="QQ")
             expected = {sympy_monic(e, cs, "lex") for e in theirs.exprs}
-            assert {sp.expand(sym(b)) for b in ours} == expected, seed
+            assert {sympy_monic(sym(b), cs, "lex") for b in ours} == expected, seed
             assert _engine.certify(system, ours, _engine.lex_key), seed
     assert max(widths) == 9
 
