@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from importlib import resources
 
-from .parser import parse
+from .parser import parse, rational_literal
 from .spectrum import PencilParameter, spectrum_report
 
 
@@ -61,7 +60,7 @@ def load_corpus(text: str) -> list[CorpusEntry]:
                 rows = expected["maximal_points"]
                 if type(rows) is not list or any(type(r) is not list or len(r) != 3 for r in rows):
                     raise ValueError("maximal_points: needs rows of 3 rationals")
-                expected["maximal_points"] = {tuple(map(Fraction, r)) for r in rows}
+                expected["maximal_points"] = {tuple(map(rational_literal, r)) for r in rows}
             if type(expected.get("residually_null_dimension", 0)) is not int:
                 raise ValueError("residually_null_dimension: needs an int")
             for key, rows in expected.get("height_one", {}).items():

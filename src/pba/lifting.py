@@ -325,18 +325,14 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
     f and g slots, a base point with f*g != 0 is searched inside
     [-search_box, search_box]^3, and the translated triple is lifted.
     """
-    T = ensure_verified(F)
-    nonzero = [not c.is_zero() for c in T.vec]
+    G = ensure_verified(F)
+    nonzero = [not c.is_zero() for c in G.vec]
+    # c cycles move components c and c + 1 (mod 3) into the f and g slots
+    pairs = [c for c in range(3) if nonzero[c] and nonzero[(c + 1) % 3]]
+    cycles = (pairs or [c for c in range(3) if nonzero[c]] or [0])[0]
+    for _ in range(cycles):
+        G = cycle_variables(G)
     if sum(nonzero) <= 1:
-        if nonzero[1]:
-            cycles = 1
-        elif nonzero[2]:
-            cycles = 2
-        else:
-            cycles = 0
-        G = T
-        for _ in range(cycles):
-            G = cycle_variables(G)
         lift = LiftResult(
             b=truncate(G.f, weight),
             d=truncate(Poly.variable(0), weight + 1),
@@ -344,16 +340,6 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
             conventions=_conventions(weight),
         )
         return CmCertificate(point=(_ZERO, _ZERO, _ZERO), cycles=cycles, lift=lift)
-
-    if nonzero[0] and nonzero[1]:
-        cycles = 0
-    elif nonzero[1] and nonzero[2]:
-        cycles = 1
-    else:
-        cycles = 2
-    G = T
-    for _ in range(cycles):
-        G = cycle_variables(G)
 
     prod_fg = G.f * G.g
     for p in _base_points(search_box):

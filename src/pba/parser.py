@@ -47,6 +47,14 @@ MAX_TERM_PAIRS = 10**6
 MAX_DIGITS = 4300
 
 
+def rational_literal(value) -> Fraction:
+    """Fraction(value), refusing text in exponent notation or longer than
+    MAX_DIGITS characters, which Fraction would expand in full."""
+    if isinstance(value, str) and (len(value) > MAX_DIGITS or "e" in value or "E" in value):
+        raise ValueError(f"rational literal needs no exponent and at most {MAX_DIGITS} characters: {value[:40]!r}")
+    return Fraction(value)
+
+
 def _power_cost(p: Poly, e: int) -> tuple[int, int]:
     """Bounds on the term pairs p**e multiplies, counted until past the
     limit, and on its terms: with n terms, degree d and v variables, p^k

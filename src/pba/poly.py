@@ -12,6 +12,9 @@ the capped series of `lifting`) over the product of the denominators.
 exact_quotient divides by the divisor's primitive part over Z and, by
 Gauss's lemma, stops at the first lead coefficient that does not divide
 (Geddes, Czapor & Labahn, "Algorithms for Computer Algebra", 1992).
+gcd is the heuristic GCDHEU on the numerators; where it gives up, it is
+p*q / lcm(p, q), the lcm from one elimination by the Groebner engine
+(Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms", Ch. 4 Sec. 3).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from fractions import Fraction
 from math import gcd as igcd, lcm
 from typing import Iterable, Iterator, Union
 
-from ._engine import grlex_key
+from ._engine import Mono, buchberger, grlex_key
 
 Monomial = tuple[int, int, int]
 ScalarLike = Union[Fraction, int]
@@ -383,7 +386,7 @@ def divides(q: Poly, p: Poly) -> bool:
     return exact_quotient(p, q) is not None
 
 
-# -- gcd: heuristic integer gcd (GCDHEU) with a PRS fallback ---------
+# -- gcd: heuristic integer gcd (GCDHEU) with an lcm fallback -------
 #
 # A gcd over Q is fixed up to a unit, so the inputs are taken as their
 # integer numerators. GCDHEU (Char, Geddes & Gonnet, J. Symb. Comp. 7,
@@ -393,8 +396,10 @@ def divides(q: Poly, p: Poly) -> bool:
 # its balanced base-xi digits. A primitive candidate that divides both
 # inputs over Z is their gcd (Geddes, Czapor & Labahn, Thm 7.7). A failed
 # test grows xi; after _HEU_TRIES failures, or once an image would pass
-# _HEU_MAX_BITS, the primitive remainder sequence (Brown, JACM 18, 1971)
-# answers instead.
+# _HEU_MAX_BITS, the gcd is p*q / lcm(p, q) instead, with the lcm read off
+# a Groebner basis of <t*p, (1 - t)*q> that eliminates t: its t-free part
+# is <p> meet <q> = <lcm(p, q)> (Cox, Little & O'Shea, "Ideals, Varieties,
+# and Algorithms", Ch. 4 Sec. 3).
 
 _HEU_TRIES = 6
 # bounds bit length of xi times degree: the size of an evaluation's ints
@@ -469,64 +474,26 @@ def _as_univariate(p: Poly, vi: int) -> dict[int, Poly]:
     return {d: Poly._make(num, p._den) for d, num in out.items()}
 
 
-def _from_univariate(coeffs: dict[int, Poly], vi: int) -> Poly:
-    return sum((cp * Poly.variable(vi)**d for d, cp in coeffs.items()), Poly.zero())
+def _elimination_key(m: Mono):
+    # t (slot 0) first, then graded lex on x, y, z
+    return (m[0], m[1] + m[2] + m[3], m[1:])
 
 
-def _content_primitive(p: Poly, vi: int) -> tuple[Poly, Poly]:
-    """Content in the later variables, the monic gcd of the coefficients
-    in variable vi, and the primitive part in vi, cleared to coprime
-    integer coefficients with a positive graded-lex lead."""
-    coeffs = _as_univariate(p, vi)
-    content = gcd_many(coeffs[d] for d in sorted(coeffs))
-    prim = exact_quotient(p, content)
-    if prim is None:
-        raise ArithmeticError(f"content {content} does not divide {p}")
-    g = _content(prim._num)
-    if prim._num[prim.leading_monomial()] < 0:
-        g = -g
-    return content, Poly._make({m: n // g for m, n in prim._num.items()})
-
-
-def _prem(a: dict[int, Poly], b: dict[int, Poly], vi: int) -> dict[int, Poly]:
-    # pseudo-remainder in variable vi; result is a poly-coefficient map
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r and max(r) >= db:
-        dr = max(r)
-        lr = r[dr]
-        new = {d: lb * c for d, c in r.items()}
-        for d, c in b.items():
-            nd = d + dr - db
-            v = new.get(nd, Poly.zero()) - lr * c
-            if v.is_zero():
-                new.pop(nd, None)
-            else:
-                new[nd] = v
-        r = new
-    return r
-
-
-def _gcd_prs(p: Poly, q: Poly) -> Poly:
-    """gcd up to a rational unit by a primitive remainder sequence in the
-    first variable present; the contents, in fewer variables, go to gcd."""
+def _gcd_by_lcm(p: Poly, q: Poly) -> Poly:
+    """gcd up to a rational unit as p*q / lcm(p, q), the lcm being the one
+    t-free element of a reduced basis of <t*p, (1 - t)*q> that eliminates t."""
     if not p or not q:
         return p or q
-    used = p.variables() + q.variables()
-    if not used:
-        return Poly.one()
-    vi = min(used)
-    cp, pp = _content_primitive(p, vi)
-    cq, pq = _content_primitive(q, vi)
-    cont = gcd(cp, cq)
-    a, b = _as_univariate(pp, vi), _as_univariate(pq, vi)
-    if max(a) < max(b):
-        a, b = b, a
-    while b:
-        r = _from_univariate(_prem(a, b, vi), vi)
-        a, b = b, _as_univariate(_content_primitive(r, vi)[1], vi) if r else {}
-    return cont * _from_univariate(a, vi)
+    tp = {(1,) + m: n for m, n in p._num.items()}
+    tq = {(0,) + m: n for m, n in q._num.items()}
+    tq.update({(1,) + m: -n for m, n in q._num.items()})
+    free = [b for b in buchberger([tp, tq], _elimination_key) if not any(m[0] for m in b)]
+    if len(free) != 1:
+        raise ArithmeticError(f"<{p}> meet <{q}> has {len(free)} generators")
+    g = exact_quotient(p * q, Poly._make({m[1:]: n for m, n in free[0].items()}))
+    if g is None:
+        raise ArithmeticError(f"lcm of {p} and {q} does not divide their product")
+    return g
 
 
 def gcd(p: Poly, q: Poly) -> Poly:
@@ -537,7 +504,7 @@ def gcd(p: Poly, q: Poly) -> Poly:
     if q.is_zero():
         return p.monic()
     g = _gcd_heu(p._num, q._num)
-    return (_gcd_prs(p, q) if g is None else Poly._make(g)).monic()
+    return (_gcd_by_lcm(p, q) if g is None else Poly._make(g)).monic()
 
 
 def gcd_many(polys: Iterable[Poly]) -> Poly:

@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .factor import factor_bounded
 from .groebner import GroebnerBasis, buchberger, dimension, is_unit_ideal, rational_points
+from .parser import rational_literal
 from .poly import Point, Poly, ScalarLike, rat_text
 from .triples import (
     NotCoprimeError,
@@ -59,7 +60,7 @@ class PencilParameter:
         if not sep:
             raise ValueError(f"expected 'lambda:mu', got {text!r}")
         try:
-            return cls(Fraction(head.strip()), Fraction(tail.strip()))
+            return cls(rational_literal(head.strip()), rational_literal(tail.strip()))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad pencil parameter {text!r}: {exc}") from None
 

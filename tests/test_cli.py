@@ -98,6 +98,21 @@ def test_spectrum_bad_param_syntax():
     assert "lambda:mu" in err
 
 
+@pytest.mark.parametrize("param", ["1e3000000:1", "1:2E5", "1" * (MAX_DIGITS + 1) + ":1"],
+                         ids=["exponent", "capital-exponent", "too-long"])
+def test_spectrum_param_in_exponent_notation_or_too_long_exits_2_quickly(param):
+    start = time.perf_counter()
+    code, out, err = run_cli("spectrum", "--s", "x", "--t", "y", "--params", param)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --params: bad pencil parameter ") and "rational literal" in err
+    # integers, fractions and decimals parse as before
+    code, out, _ = run_cli("spectrum", "--s", "x", "--t", "y", "--params", "3:1,1/2:3.5,-0.25:1")
+    assert code == 0
+    assert [line for line in out.splitlines() if line.startswith("height one")] == [
+        "height one at (1:1/3):", "height one at (1:7):", "height one at (1:-4):"]
+
+
 def test_spectrum_deep_nesting_is_a_usage_error():
     code, _, err = run_cli("spectrum", "--s", "(" * 3000 + "x" + ")" * 3000, "--params", "1:0")
     assert code == 2
@@ -337,10 +352,15 @@ def test_corpus_detects_mismatch(tmp_path):
          "bad corpus entry 'sl2': "),
         (lambda e: e["expected"].update({"residually_null_dimension": "0"}),
          "bad corpus entry 'sl2': residually_null_dimension: "),
+        (lambda e: e["expected"].update({"maximal_points": [["1e1000000000", "0", "0"]]}),
+         "bad corpus entry 'sl2': rational literal "),
+        (lambda e: e["expected"].update({"maximal_points": [["0", "1" * (MAX_DIGITS + 1), "0"]]}),
+         "bad corpus entry 'sl2': rational literal "),
     ],
     ids=["row-without-multiplicity", "bad-parameter-key", "zero-multiplicity",
          "string-primitive", "bad-generator", "point-not-a-row", "null-coordinate",
-         "non-numeric-coordinate", "zero-denominator", "string-dimension"],
+         "non-numeric-coordinate", "zero-denominator", "string-dimension",
+         "exponent-coordinate", "long-coordinate"],
 )
 def test_corpus_malformed_expected_row(tmp_path, edit, message):
     from pba.corpus import bundled_corpus_text

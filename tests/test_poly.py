@@ -18,7 +18,8 @@ from pba.poly import (
     X,
     Y,
     Z,
-    _gcd_prs,
+    _gcd_by_lcm,
+    _gcd_heu,
     divides,
     exact_quotient,
     gcd,
@@ -302,41 +303,60 @@ def test_gcd_matches_sympy(pair):
     assert to_sympy(gcd(f, g)) == sympy_monic_grlex(sp.gcd(to_sympy(f), to_sympy(g)))
 
 
-# The fallback runs rarely, so it is compared on its own, at degree <= 4.
-# It takes its contents from gcd, but the contents of its pseudo-remainders
-# can outgrow what GCDHEU tries, and their gcds fall back to the PRS: some
-# draws at degree 5 and 6 still run for minutes.
-@given(sharing_pairs(4, 2**32))
-@settings(max_examples=40, deadline=None)
-def test_prs_fallback_matches_sympy(pair):
+# The fallback runs rarely, so it is compared on its own, on the same
+# draws as gcd.
+@given(sharing_pairs(8, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_lcm_fallback_matches_sympy(pair):
     f, g = pair
-    ours = _gcd_prs(f, g).monic()
+    ours = _gcd_by_lcm(f, g).monic()
     assert to_sympy(ours) == sympy_monic_grlex(sp.gcd(to_sympy(f), to_sympy(g)))
 
 
-def test_prs_fallback_pins():
-    assert _gcd_prs(X**2 - Y**2, (X + Y) ** 2).monic() == X + Y
-    assert _gcd_prs(6 * X + 4, 9 * X + 6).monic() == X + Fraction(2, 3)
-    # rational contents at every level of the recursion
+def test_lcm_fallback_pins():
+    assert _gcd_by_lcm(X**2 - Y**2, (X + Y) ** 2).monic() == X + Y
+    assert _gcd_by_lcm(6 * X + 4, 9 * X + 6).monic() == X + Fraction(2, 3)
+    # rational coefficients in every factor
     p = (X * Y / 2 + Z / 3) * (Y**2 / 5 - 7 * Z)
-    assert _gcd_prs(p * (X + 1), p * (X - Y)).monic() == p.monic()
+    assert _gcd_by_lcm(p * (X + 1), p * (X - Y)).monic() == p.monic()
 
 
-def test_prs_coprime_pairs_that_stalled_its_contents():
-    # each took seconds while the PRS took its contents' gcds recursively
+def test_lcm_fallback_on_coprime_pairs_that_stalled_the_prs():
+    # each took seconds to minutes in the pseudo-remainder sequence that
+    # was the fallback before
     a = (-17125 * X**2 * Y**3 - 12625 * X**2 * Y**2 * Z + 31375 * X * Y * Z**2
          - 7625 * X * Y**2 + 30125 * X)
-    assert _gcd_prs(a, -27375 * X**5 - 13375 * X + 3500 * Z + 9875).monic() == 1
+    assert _gcd_by_lcm(a, -27375 * X**5 - 13375 * X + 3500 * Z + 9875).monic() == 1
     f = (X**2 + Y**2 + Z**2 - 1) * (X + Y + Z) * (X * Y * Z - 1)
     for vi in range(3):
-        assert _gcd_prs(f, f.derivative(vi)).monic() == 1
+        assert _gcd_by_lcm(f, f.derivative(vi)).monic() == 1
+    a = (112560 * X**3 * Y**2 - 11538000 * Y**2 * Z**3 + 1030792150800 * X**2
+         - 6134428080 * Y**2 - 102720 * Z)
+    b = 132720 * X**5 + 2549520 * X**2 * Y**2 - 222960 * X**3 - 1424921040 * Y**2 * Z - 2874480
+    assert _gcd_by_lcm(a, b).monic() == 1
+    a = (-8023536070 * X**6 - 233018949680 * X**2 * Y**3 * Z + 237011280 * X**2 * Y**2 * Z
+         + 163843797480 * Y * Z**4 + 5228520 * Y**2 * Z)
+    b = (-24616680 * Y**4 * Z**2 + 99110 * X**5 - 80378690590 * X**4 * Z
+         + 813055742290 * Y**2 * Z - 594660 * X)
+    assert _gcd_by_lcm(a, b).monic() == 1
 
 
-def test_gcd_hands_over_to_the_prs(monkeypatch):
+def test_gcd_hands_over_to_the_lcm(monkeypatch):
     monkeypatch.setattr(poly, "_HEU_TRIES", 0)
     assert gcd(X**2 - Y**2, (X + Y) ** 2) == X + Y
     assert gcd(2 * X * Z + 2 * Y * Z, 4 * X + 4 * Y) == X + Y
     assert gcd(X * Y, Z) == 1
+
+
+def test_gcd_past_the_heuristic_bit_cap():
+    # 3000-bit coefficients at degree <= 4: the images of the recursive
+    # evaluations pass _HEU_MAX_BITS, so GCDHEU gives up and the lcm answers
+    c = X**2 + 3**1900 * Y * Z + 5**1300
+    f = (7**1070 * X + Y**2 - 11**870) * c
+    g = (13**810 * Y * Z + X - 17**735) * c
+    assert _gcd_heu(f._num, g._num) is None
+    assert to_sympy(gcd(f, g)) == sympy_monic_grlex(sp.gcd(to_sympy(f), to_sympy(g)))
+    assert gcd(f, g) == c.monic()
 
 
 def test_squarefree_parts_that_stalled_the_prs():
