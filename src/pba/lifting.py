@@ -11,17 +11,24 @@ deterministic and are recorded on the result.
 
 At weight w the equations give b's coefficients of weight w and d's of
 weight w+1. Each coefficient equation is a sum of products of one b and
-one d coefficient, all but two of which pair finished weights of b and
-d. lift_at_origin runs on ints: b and d are reduced numerator/denominator
-pairs, and each finished weight is rescaled to integer numerators so
-that those products and f, g, h lie over one denominator and sum as one
-int. The other two products, the unknown's term and the d of weight w+1
-against b_000 (x-equation) or the b of weight w against d_010 or d_001
-(y, z), fold in with the pivot division and one gcd.
+one d coefficient. All but two of them pair b of weight w+1-u with d of
+weight u for some u in 2..w, weights finished before w starts, so
+lift_at_origin sums them once per weight: for each variable v, the
+poly.product_terms of every such b slice with the terms m[v] * d_m of
+its d slice. It runs on ints: b and d are reduced
+numerator/denominator pairs, each finished weight is rescaled to integer
+numerators, and the sums and f, g, h lie over one denominator per
+weight. The other two products, the unknown's term and the d of weight
+w+1 against b_000 (x-equation) or the b of weight w against d_010 or
+d_001 (y, z), fold in with the pivot division and one gcd.
 
 A TruncatedSeries is a Poly and a cap; its product convolves the Poly
 numerators with poly.product_terms given that cap. verify_lift checks a
-lift with that product only, sharing no code with the lift kernel.
+lift with that product. All it shares with the lift kernel is
+poly.product_terms, the product every Poly uses: the capped branch
+serves verify_lift, the uncapped branch the lift. The lift's
+independent checks are the Fraction recurrence oracle of the tests, the
+golden files and the sympy check of pbabench.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import mul
 from typing import Iterator, Mapping, Union
 
 from .poly import Monomial, Poly, ScalarLike, product_terms
@@ -169,23 +175,18 @@ def _ratio(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _slice(coeffs: Mapping[Monomial, tuple[int, int]], u: int) -> tuple[list[Monomial], list[int], int]:
-    """The monomials of weight u, their coefficients as integer numerators
-    over the lcm of their denominators, and that lcm. A monomial missing
-    from coeffs raises KeyError."""
-    mons = [(u - a, a - k, k) for a in range(u + 1) for k in range(a + 1)]
-    pairs = [coeffs[m] for m in mons]
-    den = lcm(*(q for _, q in pairs))
-    return mons, [n * (den // q) for n, q in pairs], den
+def _slice(coeffs: Mapping[Monomial, tuple[int, int]], u: int) -> tuple[dict[Monomial, int], int]:
+    """The nonzero coefficients of weight u as integer numerators over the
+    lcm of their denominators, and that lcm. A monomial missing from
+    coeffs raises KeyError."""
+    pairs = {m: coeffs[m] for m in ((u - a, a - k, k) for a in range(u + 1) for k in range(a + 1))}
+    den = lcm(*(q for _, q in pairs.values()))
+    return {m: n * (den // q) for m, (n, q) in pairs.items() if n}, den
 
 
 def _from_slices(slices) -> Poly:
-    den = lcm(*(s[2] for s in slices))
-    return Poly._make({m: n * (den // sd) for ms, ns, sd in slices for m, n in zip(ms, ns) if n}, den)
-
-
-_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-_OTHER_AXES = ((1, 2), (0, 2), (0, 1))
+    den = lcm(*(sd for _, sd in slices))
+    return Poly._make({m: n * (den // sd) for num, sd in slices for m, n in num.items()}, den)
 
 
 def lift_at_origin(F, weight: int) -> LiftResult:
@@ -215,54 +216,20 @@ def lift_at_origin(F, weight: int) -> LiftResult:
 
     for w in range(1, weight + 1):
         d[(w + 1, 0, 0)] = (0, 1)
-        # Products of two finished weights pair d of weight u in 2..w with
-        # b of weight w+1-u, laid out in dense arrays of P^3 slots, sized
-        # per weight so that memory grows with the work done. dgrad[v]
-        # holds e * (numerator of d_ijk) at slot i + j*P + k*P^2, e the
-        # exponent of variable v; brefl holds b_ijk at slot
-        # top - (i + j*P + k*P^2), rescaled so that all these products and
-        # f, g, h lie over den. Other slots hold None, so a product that
-        # reads one raises TypeError instead of reading 0.
-        P = w + 2
-        top = P**3 - 1
-        strides = (1, P, P * P)
-        den = lcm(fden, gden, hden, *(bw[w + 1 - u][2] * dw[u][2] for u in range(2, w + 1)))
+        # acc[v][M], M of weight w+1, is den times the sum of
+        # m[v] * b_(M-m) * d_m over the m of weight u in 2..w
+        den = lcm(fden, gden, hden, *(bw[w + 1 - u][1] * dw[u][1] for u in range(2, w + 1)))
         fs, gs, hs = den // fden, den // gden, den // hden
-        brefl: list = [None] * P**3
-        dgrad: tuple[list, list, list] = ([None] * P**3, [None] * P**3, [None] * P**3)
+        acc: tuple[dict, dict, dict] = ({}, {}, {})
         for u in range(2, w + 1):
-            bmons, bnums, bden = bw[w + 1 - u]
-            dmons, dnums, dden = dw[u]
+            bnum, bden = bw[w + 1 - u]
+            dnum, dden = dw[u]
             scale = den // (bden * dden)
-            for (i, j, k), n in zip(bmons, bnums):
-                brefl[top - i - j * P - k * P * P] = scale * n
-            for m, n in zip(dmons, dnums):
-                at = m[0] + m[1] * P + m[2] * P * P
-                for v in range(3):
-                    dgrad[v][at] = m[v] * n
-
-        def finished(M: Monomial, v: int) -> int:
-            """den times the sum of e * b_(M-m) * d_m over the m of weight
-            2..w with e = m[v] >= 1. b_(M-m) sits in brefl at d_m's slot in
-            dgrad[v] plus off, so the sum runs as strided slices along the
-            longest axis of the box of such m."""
-            lo = _UNIT[v]
-            ext = (M[0] - lo[0], M[1] - lo[1], M[2] - lo[2])
-            a = ext.index(max(ext))
-            p_ax, q_ax = _OTHER_AXES[a]
-            sa, sp, sq = strides[a], strides[p_ax], strides[q_ax]
-            off = top - M[0] - M[1] * P - M[2] * P * P
-            dv = dgrad[v]
-            total = 0
-            for p in range(lo[p_ax], M[p_ax] + 1):
-                for q in range(lo[q_ax], M[q_ax] + 1):
-                    x0 = max(lo[a], 2 - p - q)
-                    x1 = min(M[a], w - p - q)
-                    if x0 <= x1:
-                        d0 = p * sp + q * sq + x0 * sa
-                        d1 = d0 + (x1 - x0) * sa + 1
-                        total += sum(map(mul, brefl[off + d0:off + d1:sa], dv[d0:d1:sa]))
-            return total
+            for v, sums in enumerate(acc):
+                grad = {m: m[v] * scale * n for m, n in dnum.items() if m[v]}
+                for M, n in product_terms(bnum, grad).items():
+                    sums[M] = sums.get(M, 0) + n
+        ax, ay, az = acc
 
         for i in range(w, -1, -1):
             rem = w - i
@@ -270,18 +237,18 @@ def lift_at_origin(F, weight: int) -> LiftResult:
                 k = rem - j
                 # b_ijk from the x-equation at (i,j,k); its own term has
                 # factor d_100 = 1, and d_(i+1)jk is the one of weight w+1
-                s = fn.get((i, j, k), 0) * fs - finished((i + 1, j, k), 0)
+                s = fn.get((i, j, k), 0) * fs - ax.get((i + 1, j, k), 0)
                 dn, dd = d[(i + 1, j, k)]
                 b[(i, j, k)] = _ratio(s * f0d * dd - (i + 1) * f0n * dn * den, den * f0d * dd)
             j = rem
             # d_i(j+1)0 from the y-equation at (i,j,0); pivot (j+1)*f0
-            s = gn.get((i, j, 0), 0) * gs - finished((i, j + 1, 0), 1)
+            s = gn.get((i, j, 0), 0) * gs - ay.get((i, j + 1, 0), 0)
             bn, bd = b[(i, j, 0)]
             d[(i, j + 1, 0)] = _ratio((s * bd * yd - bn * yn * den) * f0d, den * bd * yd * (j + 1) * f0n)
             for k in range(rem + 1):
                 j = rem - k
                 # d_ij(k+1) from the z-equation at (i,j,k); pivot (k+1)*f0
-                s = hn.get((i, j, k), 0) * hs - finished((i, j, k + 1), 2)
+                s = hn.get((i, j, k), 0) * hs - az.get((i, j, k + 1), 0)
                 bn, bd = b[(i, j, k)]
                 d[(i, j, k + 1)] = _ratio((s * bd * zd - bn * zn * den) * f0d, den * bd * zd * (k + 1) * f0n)
         bw.append(_slice(b, w))

@@ -3,8 +3,8 @@
 Documents carry a top-level "schema": "pba/1" marker. Polynomials are
 serialized as their canonical render strings and rationals as exact
 strings like "9/2", so a document parses back through the expression
-grammar without loss while its numbers fit parser.MAX_DIGITS. dumps() fixes key order and indentation, making
-load-then-dump byte-identical.
+grammar without loss while its numbers fit parser.MAX_DIGITS. dumps()
+fixes key order and indentation, making load-then-dump byte-identical.
 """
 
 from __future__ import annotations

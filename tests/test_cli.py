@@ -72,6 +72,12 @@ def test_spectrum_text_report():
     assert "primitive" in out
 
 
+def test_spectrum_text_names_eliminant_without_rational_root():
+    code, out, _ = run_cli("spectrum", "--s", "x^3 - 2*x + y^2 + z^2", "--params", "1:0")
+    assert code == 0
+    assert "\n  no rational root: x^2 - 2/3\n" in out
+
+
 def test_spectrum_coordinate_pencil():
     code, out, _ = run_cli("spectrum", "--s", "x", "--t", "y", "--params", "1:0,0:1,1:-1")
     assert code == 0
@@ -290,6 +296,11 @@ def test_lift_negative_weight_usage_error():
     code, _, err = run_cli("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "-2")
     assert code == 2
     assert "non-negative" in err
+    code, _, err = run_cli(
+        "lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "2", "--search-box", "-1"
+    )
+    assert code == 2
+    assert err == "error: --search-box must be non-negative\n"
 
 
 def test_lift_non_poisson():

@@ -46,6 +46,29 @@ def test_wrong_expected_multiplicity_fails():
     assert any("height_one[1:0]" in d for d in results[0].diffs)
 
 
+@pytest.mark.parametrize(
+    "edit, diff",
+    [
+        (
+            lambda e: e["expected"].update(residually_null_dimension=1),
+            "residually_null_dimension: expected 1, got 0",
+        ),
+        (
+            lambda e: e["params"].remove("1:1"),
+            "height_one[1:1]: parameter missing from report",
+        ),
+    ],
+    ids=["dimension", "parameter-not-asked"],
+)
+def test_wrong_expected_names_the_field(edit, diff):
+    data = json.loads(bundled_corpus_text())
+    entry = copy.deepcopy(next(e for e in data if e["name"] == "sl2"))
+    edit(entry)
+    results = run_corpus(load_corpus(json.dumps([entry])))
+    assert not results[0].passed
+    assert results[0].diffs == (diff,)
+
+
 def test_generator_comparison_ignores_rendering():
     data = json.loads(bundled_corpus_text())
     entry = copy.deepcopy(next(e for e in data if e["name"] == "sl2"))

@@ -97,6 +97,9 @@ def test_certify():
     assert not certify(bad)
     swapped = GroebnerBasis((X,), (Y,), TermOrder.GRLEX)
     assert not certify(swapped)
+    # the generators reduce to zero, but their S-polynomial x - y^2 does not
+    g = (X**2 - Y, X * Y - 1)
+    assert not certify(GroebnerBasis(g, g, TermOrder.GRLEX))
 
 
 def test_rational_points_pins():

@@ -183,6 +183,14 @@ def test_simplicity_requires_finite_locus():
         is_poisson_simple_quotient(parse("x*y^2 - z^2"), Poly.one(), P(1, 0))
 
 
+def test_factor_bound_too_small_is_an_error():
+    s = X**2 + Y**2 + Z**2
+    with pytest.raises(ValueError, match="incomplete at degree bound 0"):
+        poisson_core_of_point(s, Poly.one(), (1, 0, 0), 0)
+    with pytest.raises(ValueError, match="not certified irreducible at degree bound 0"):
+        is_poisson_simple_quotient(s, Poly.one(), P(1, 1), 0)
+
+
 def test_spectrum_report_shape():
     report = spectrum_report(SL2_S, Poly.one(), [P(1, 0), P(2, 0), P(1, 1)], 3)
     assert report.zero_ideal
