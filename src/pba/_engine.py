@@ -28,8 +28,6 @@ from typing import Collection
 Mono = tuple[int, ...]
 Epoly = dict[Mono, int]
 
-_ZERO = Fraction(0)
-
 
 def lex_key(m: Mono):
     return m
@@ -245,6 +243,20 @@ def _divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _deflate(ints: list[int], a: int, b: int) -> list[int] | None:
+    """The quotient of sum(ints[i] * v^i) by b*v - a, or None at the first
+    nonzero remainder. For b*v - a primitive it divides exactly over Z
+    when it divides over Q (Gauss's lemma)."""
+    quot = [0] * (len(ints) - 1)
+    acc = 0
+    for i in range(len(ints) - 1, 0, -1):
+        acc, rem = divmod(ints[i] + a * acc, b)
+        if rem:
+            return None
+        quot[i - 1] = acc
+    return None if ints[0] + a * acc else quot
+
+
 def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Distinct rational roots of sum(coeffs[i] * v^i), plus the residual
     cofactor (monic) left after dividing all rational roots out."""
@@ -253,44 +265,29 @@ def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], l
         work.pop()
     if not work:
         raise ValueError("zero polynomial")
-    ints = [Fraction(n) for n in integer_numerators(work)[1]]
+    ints = integer_numerators(work)[1]
     roots: list[Fraction] = []
     while len(ints) > 1 and not ints[0]:
         roots.append(Fraction(0))
         ints = ints[1:]
     if len(ints) == 2:
-        roots.append(-ints[0] / ints[1])
-        ints = ints[1:]
+        candidates = [Fraction(-ints[0], ints[1])]
     elif len(ints) == 3:
         # a*v^2 + b*v + c has rational roots iff b^2 - 4ac is a square
-        c, b, a = (int(x) for x in ints)
+        c, b, a = ints
         disc = b * b - 4 * a * c
         r = isqrt(disc) if disc >= 0 else -1
-        if r * r == disc:
-            roots += [Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a)]
-            ints = ints[2:]
+        candidates = [Fraction(-b - r, 2 * a), Fraction(-b + r, 2 * a)] if r * r == disc else []
     elif len(ints) > 3:
-        a0 = abs(int(ints[0]))
-        dens = _divisors(abs(int(ints[-1])))
-        candidates = sorted(
-            {s * Fraction(p, q) for p in _divisors(a0) for q in dens for s in (1, -1)}
-        )
-        for r in candidates:
-            while len(ints) > 1:
-                # synthetic division by (v - r); exact when r is a root
-                quot = [_ZERO] * (len(ints) - 1)
-                acc = _ZERO
-                for i in range(len(ints) - 1, 0, -1):
-                    acc = ints[i] + acc * r
-                    quot[i - 1] = acc
-                if ints[0] + acc * r:
-                    break
-                if r not in roots:
-                    roots.append(r)
-                ints = quot
-    lc = ints[-1]
-    residual = [c / lc for c in ints]
-    return sorted(set(roots)), residual
+        dens = _divisors(abs(ints[-1]))
+        candidates = {s * Fraction(p, q) for p in _divisors(abs(ints[0])) for q in dens for s in (1, -1)}
+    else:
+        candidates = []
+    for r in candidates:
+        while len(ints) > 1 and (quot := _deflate(ints, r.numerator, r.denominator)) is not None:
+            roots.append(r)
+            ints = quot
+    return sorted(set(roots)), [Fraction(c, ints[-1]) for c in ints]
 
 
 def _subst_last(p: Epoly, r: Fraction) -> Epoly:

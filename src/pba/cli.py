@@ -18,9 +18,9 @@ import sys
 from .corpus import bundled_corpus_text, load_corpus, run_corpus
 from .lifting import PointSearchError, cm_certificate, verify_certificate
 from .parser import ParseError, parse
-from .poly import Poly, rat_text
+from .poly import Poly
 from .serialize import dumps, report_payload
-from .spectrum import PencilParameter, PointKind, spectrum_report
+from .spectrum import PencilParameter, spectrum_report
 from .triples import NotPoissonError, PolyVec, jacobi_witness, verify_triple, bracket as bracket_op
 
 
@@ -72,12 +72,11 @@ def _parse_params(text: str) -> list[PencilParameter]:
     return params
 
 
-def _kind_text(pc) -> str:
-    if pc.kind is PointKind.COMMON_ZERO:
-        return "common zero of s and t"
-    if pc.kind is PointKind.SINGULAR_POINT:
-        return f"singular point of the member at ({pc.parameter})"
-    return "not Poisson"
+_KIND_TEXT = {
+    "common_zero": "common zero of s and t",
+    "singular_point": "singular point of the member at ({parameter})",
+    "not_poisson": "not Poisson",
+}
 
 
 def _cmd_spectrum(args) -> int:
@@ -89,32 +88,27 @@ def _cmd_spectrum(args) -> int:
     except ValueError as exc:  # NotCoprimeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    payload = report_payload(s, t, args.max_deg, report)
     if args.json:
-        sys.stdout.write(dumps(report_payload(s, t, args.max_deg, report)))
+        sys.stdout.write(dumps(payload))
         return 0
-    stratum = report.residually_null
-    print(f"bracket: qm_exact({s}, {t})")
+    stratum = payload["residually_null"]
+    print(f"bracket: qm_exact({payload['s']}, {payload['t']})")
     print("zero ideal: Poisson prime")
-    basis = ", ".join(str(b) for b in stratum.basis.basis) or "0"
-    print(f"residually null: dimension {stratum.dimension}; basis: {basis}")
-    for pc in stratum.points:
-        coords = ", ".join(map(rat_text, pc.point))
-        print(f"  point ({coords}): {_kind_text(pc)}")
-    for e in stratum.eliminants:
+    basis = ", ".join(stratum["basis"]) or "0"
+    print(f"residually null: dimension {stratum['dimension']}; basis: {basis}")
+    for pc in stratum["points"]:
+        print(f"  point ({', '.join(pc['point'])}): {_KIND_TEXT[pc['kind']].format(**pc)}")
+    for e in stratum["eliminants"]:
         print(f"  no rational root: {e}")
-    for param, primes in report.height_one.items():
+    for param, primes in payload["height_one"].items():
         print(f"height one at ({param}):")
         for r in primes:
-            tags = ["primitive" if r.primitive else "not primitive"]
-            tags.append(f"multiplicity {r.multiplicity}")
-            if r.absolutely_irreducible_certified:
+            tags = ["primitive" if r["primitive"] else "not primitive", f"multiplicity {r['multiplicity']}"]
+            if r["absolutely_irreducible_certified"]:
                 tags.append("absolutely irreducible")
-            print(f"  ({r.generator})  [{', '.join(tags)}]")
-    flags = report.flags
-    print(
-        f"flags: factorization_complete={str(flags.factorization_complete).lower()}"
-        f" finitely_many_poisson_maximal={str(flags.finitely_many_poisson_maximal).lower()}"
-    )
+            print(f"  ({r['generator']})  [{', '.join(tags)}]")
+    print("flags:", " ".join(f"{k}={str(v).lower()}" for k, v in payload["flags"].items()))
     return 0
 
 

@@ -2,9 +2,9 @@
 
 Each entry names a bracket (s, t), sampled pencil parameters, and the
 expected residually-null dimension, maximal points, and per-parameter
-factor data. run_corpus computes fresh reports and diffs them against
-the expectations, one entry after another, sorted by name. A bundled
-corpus of the worked examples ships with the package.
+factor data, kept in the strings of the pba/1 payload, the one rendering
+of a report. run_corpus diffs each entry's payload against them, sorted
+by name. A bundled corpus of the worked examples ships with the package.
 """
 
 from __future__ import annotations
@@ -14,18 +14,16 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .parser import parse, rational_literal
+from .poly import Poly, rat_text
+from .serialize import report_payload
 from .spectrum import PencilParameter, spectrum_report
-
-
-def _fmt_points(pts) -> list[tuple[str, ...]]:
-    return sorted(tuple(str(c) for c in p) for p in pts)
 
 
 @dataclass(frozen=True)
 class CorpusEntry:
     name: str
-    s: str
-    t: str
+    s: Poly
+    t: Poly
     params: tuple[PencilParameter, ...]
     max_deg: int
     expected: dict
@@ -42,8 +40,16 @@ def bundled_corpus_text() -> str:
     return resources.files("pba").joinpath("data/corpus.json").read_text()
 
 
+def _row(key: str, row: dict) -> tuple[str, int, bool]:
+    generator, m = str(parse(row["generator"])), row["multiplicity"]
+    if type(m) is not int or m < 1 or type(row["primitive"]) is not bool:
+        raise ValueError(f"height_one[{key}]: needs int multiplicity >= 1, bool primitive")
+    return generator, m, row["primitive"]
+
+
 def load_corpus(text: str) -> list[CorpusEntry]:
-    """Parse a corpus document; raises ValueError on malformed entries."""
+    """Parse a corpus document; raises ValueError on malformed entries.
+    height_one becomes (parameter, sorted rows) pairs in key order."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -53,34 +59,31 @@ def load_corpus(text: str) -> list[CorpusEntry]:
     entries = []
     for item in raw:
         try:
-            parse(item["s"])
-            parse(item["t"])
+            s = parse(item["s"])
+            t = parse(item["t"])
             expected = dict(item["expected"])
             if "maximal_points" in expected:
                 rows = expected["maximal_points"]
                 if type(rows) is not list or any(type(r) is not list or len(r) != 3 for r in rows):
                     raise ValueError("maximal_points: needs rows of 3 rationals")
-                expected["maximal_points"] = {tuple(map(rational_literal, r)) for r in rows}
+                expected["maximal_points"] = {tuple(rat_text(rational_literal(c)) for c in r) for r in rows}
             if type(expected.get("residually_null_dimension", 0)) is not int:
                 raise ValueError("residually_null_dimension: needs an int")
-            for key, rows in expected.get("height_one", {}).items():
-                PencilParameter.parse(key)
-                for row in rows:
-                    parse(row["generator"])
-                    m = row["multiplicity"]
-                    if type(m) is not int or m < 1 or type(row["primitive"]) is not bool:
-                        raise ValueError(f"height_one[{key}]: needs int multiplicity >= 1, bool primitive")
+            expected["height_one"] = [
+                (str(PencilParameter.parse(key)), sorted(_row(key, row) for row in rows))
+                for key, rows in expected.get("height_one", {}).items()
+            ]
             entries.append(
                 CorpusEntry(
                     name=item["name"],
-                    s=item["s"],
-                    t=item["t"],
+                    s=s,
+                    t=t,
                     params=tuple(PencilParameter.parse(q) for q in item["params"]),
                     max_deg=int(item.get("max_deg", 3)),
                     expected=expected,
                 )
             )
-        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, ArithmeticError) as exc:
             name = item.get("name", "?") if isinstance(item, dict) else "?"
             why = f"missing {exc}" if isinstance(exc, KeyError) else exc
             raise ValueError(f"bad corpus entry {name!r}: {why}") from None
@@ -88,40 +91,30 @@ def load_corpus(text: str) -> list[CorpusEntry]:
 
 
 def _check_entry(entry: CorpusEntry) -> CorpusResult:
-    diffs: list[str] = []
-    s = parse(entry.s)
-    t = parse(entry.t)
     try:
-        report = spectrum_report(s, t, list(entry.params), entry.max_deg)
+        report = spectrum_report(entry.s, entry.t, list(entry.params), entry.max_deg)
     except ValueError as exc:
         raise ValueError(f"bad corpus entry {entry.name!r}: {exc}") from None
-    stratum = report.residually_null
+    got = report_payload(entry.s, entry.t, entry.max_deg, report)
+    stratum = got["residually_null"]
+    diffs: list[str] = []
 
     want_dim = entry.expected.get("residually_null_dimension")
-    if want_dim is not None and stratum.dimension != want_dim:
-        diffs.append(f"residually_null_dimension: expected {want_dim}, got {stratum.dimension}")
+    if want_dim is not None and stratum["dimension"] != want_dim:
+        diffs.append(f"residually_null_dimension: expected {want_dim}, got {stratum['dimension']}")
 
     want_points = entry.expected.get("maximal_points")
-    if want_points is not None:
-        got_pts = {pc.point for pc in stratum.points}
-        if want_points != got_pts:
-            diffs.append(
-                f"maximal_points: expected {_fmt_points(want_points)}, got {_fmt_points(got_pts)}"
-            )
+    got_points = {tuple(pc["point"]) for pc in stratum["points"]}
+    if want_points is not None and want_points != got_points:
+        diffs.append(f"maximal_points: expected {sorted(want_points)}, got {sorted(got_points)}")
 
-    for param_text, want_rows in entry.expected.get("height_one", {}).items():
-        param = PencilParameter.parse(param_text)
-        got_rows = report.height_one.get(param)
-        if got_rows is None:
+    for param, want in entry.expected["height_one"]:
+        if param not in got["height_one"]:
             diffs.append(f"height_one[{param}]: parameter missing from report")
             continue
-        want = sorted(
-            (str(parse(r["generator"])), r["multiplicity"], r["primitive"])
-            for r in want_rows
-        )
-        got = sorted((str(r.generator), r.multiplicity, r.primitive) for r in got_rows)
-        if want != got:
-            diffs.append(f"height_one[{param}]: expected {want}, got {got}")
+        rows = sorted((r["generator"], r["multiplicity"], r["primitive"]) for r in got["height_one"][param])
+        if want != rows:
+            diffs.append(f"height_one[{param}]: expected {want}, got {rows}")
 
     return CorpusResult(entry.name, not diffs, tuple(diffs))
 

@@ -308,9 +308,8 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
         )
         return CmCertificate(point=(_ZERO, _ZERO, _ZERO), cycles=cycles, lift=lift)
 
-    prod_fg = G.f * G.g
     for p in _base_points(search_box):
-        if prod_fg.evaluate(p):
+        if G.f.evaluate(p) and G.g.evaluate(p):
             point = p
             break
     else:

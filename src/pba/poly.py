@@ -298,7 +298,7 @@ class Poly:
             g = igcd(n, self._den)
             a, d = abs(n) // g, self._den // g
             mag = f"{int_text(a)}/{int_text(d)}" if d != 1 else int_text(a)
-            body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(VARS, mono) if e)
+            body = "*".join(v if e == 1 else f"{v}^{int_text(e)}" for v, e in zip(VARS, mono) if e)
             text = mag if not body else body if mag == "1" else f"{mag}*{body}"
             if not parts:
                 parts.append(text if n > 0 else f"-{text}")

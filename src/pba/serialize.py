@@ -1,10 +1,11 @@
 """Versioned JSON rendering of spectrum reports.
 
-Documents carry a top-level "schema": "pba/1" marker. Polynomials are
-serialized as their canonical render strings and rationals as exact
-strings like "9/2", so a document parses back through the expression
-grammar without loss while its numbers fit parser.MAX_DIGITS. dumps()
-fixes key order and indentation, making load-then-dump byte-identical.
+report_payload is the one rendering of a report, read by the JSON, the
+text of pba spectrum and the corpus. Documents carry "schema": "pba/1".
+Polynomials are canonical render strings and rationals exact strings
+like "9/2", so a document parses back through the expression grammar
+without loss while its numbers fit parser.MAX_DIGITS. dumps() fixes key
+order and indentation, making load-then-dump byte-identical.
 """
 
 from __future__ import annotations

@@ -193,6 +193,30 @@ def test_golden_output(golden, argv):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("spectrum_sl2.txt", ("--s", "1/2*z^2 - 2*x*y", "--params", "1:0,1:1,1:-2")),
+        (
+            "spectrum_equitable_pencil.txt",
+            ("--s", "2*x + 2*y + 2*z - 2*x*y*z", "--t", "x + y + z - x*y*z + 1",
+             "--params", "1:0,0:1,3:4,1:4"),
+        ),
+        ("spectrum_eliminant.txt", ("--s", "x^3 - 6*x + y^2 + z^2", "--params", "1:0,1:2")),
+        (
+            "spectrum_fractional.txt",
+            ("--s", "1/2*x^2*y - 2/3*z + 5/7", "--t", "x + 3/4",
+             "--params", "1:0,0:1,3:-2", "--max-deg", "2"),
+        ),
+    ],
+)
+def test_spectrum_text_golden(golden, argv):
+    # the inputs of the four spectrum JSON goldens, as a text report
+    code, out, err = run_cli("spectrum", *argv)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_spectrum_large_linear_eliminant():
     # every eliminant is linear; trial division over the divisors of
     # N = 10^20 would take about 10^10 steps
@@ -273,6 +297,19 @@ def test_spectrum_prints_points_past_the_str_digit_limit():
     assert (code, err) == (0, "")
     assert f"  point ({point['point'][0]}, 0, 0): " in out
     assert f"({doc['s']})" in out
+
+
+def test_bracket_prints_an_exponent_past_the_str_digit_limit():
+    # {x^(2N), y} = 2N * x^(2N - 1) with N = 10^4300 - 1: 4301 digits each
+    n = "9" * MAX_DIGITS
+    code, out, err = run_cli(
+        "bracket", "--f", "0", "--g", "0", "--h", "1", "--lhs", f"x^{n}*x^{n}", "--rhs", "y"
+    )
+    assert (code, err) == (0, "")
+    coeff, power = out.rstrip("\n").split("*x^")
+    assert len(coeff) == len(power) == MAX_DIGITS + 1
+    assert decimal_value(coeff) == 2 * decimal_value(n)
+    assert decimal_value(power) == 2 * decimal_value(n) - 1
 
 
 def test_lift_certificate():
@@ -422,6 +459,16 @@ def test_corpus_entry_without_report_is_a_usage_error(tmp_path, entry, message):
     assert err.startswith("error: bad corpus entry 'bad': ") and message in err
     argv = ["spectrum", "--s", entry["s"], "--t", entry["t"], "--params", entry["params"][0]]
     assert run_cli(*argv, "--max-deg", str(entry.get("max_deg", 3)))[0] == 2
+
+
+@pytest.mark.parametrize("height_one", [[], None, 0], ids=["list", "null", "number"])
+def test_corpus_height_one_not_an_object_is_a_usage_error(tmp_path, height_one):
+    entry = {"name": "a", "s": "x", "t": "1", "params": ["1:0"], "expected": {"height_one": height_one}}
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps([entry]))
+    code, out, err = run_cli("corpus", "run", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad corpus entry 'a': ")
 
 
 def test_corpus_json_output():

@@ -117,3 +117,24 @@ def test_payload_rationals_are_strings():
     doc = dumps(report_payload(s, Poly.one(), 3, report))
     data = json.loads(doc)
     assert "1:1/2" in data["height_one"]
+
+
+def test_expectations_compare_in_canonical_form():
+    data = json.loads(bundled_corpus_text())
+    entry = copy.deepcopy(next(e for e in data if e["name"] == "equitable"))
+    # the same points, parameters and generators, written otherwise
+    entry["params"][entry["params"].index("1:0")] = "2:0"
+    expected = entry["expected"]
+    expected["maximal_points"] = [["2/2", "1.0", "1"], ["-3/3", "-1", "-1"], ["1", "1", "1"]]
+    expected["height_one"] = {
+        ("2:8" if key == "1:4" else key): rows for key, rows in expected["height_one"].items()
+    }
+    expected["height_one"]["1:0"][0]["generator"] = "-z - y - x + z*y*x"
+    (result,) = run_corpus(load_corpus(json.dumps([entry])))
+    assert (result.passed, result.diffs) == (True, ())
+    expected["maximal_points"][0] = ["2/4", "1", "1"]
+    (result,) = run_corpus(load_corpus(json.dumps([entry])))
+    assert result.diffs == (
+        "maximal_points: expected [('-1', '-1', '-1'), ('1', '1', '1'), ('1/2', '1', '1')],"
+        " got [('-1', '-1', '-1'), ('1', '1', '1')]",
+    )
