@@ -23,7 +23,6 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd as igcd, isqrt, lcm
 from operator import add, le, sub
-from typing import Collection
 
 Mono = tuple[int, ...]
 Epoly = dict[Mono, int]
@@ -52,13 +51,6 @@ def mono_add(a: Mono, b: Mono) -> Mono:
 
 def mono_sub(a: Mono, b: Mono) -> Mono:
     return tuple(map(sub, a, b))
-
-
-def integer_numerators(coeffs: Collection[Fraction]) -> tuple[int, list[int]]:
-    """The lcm den of the denominators, and c * den for each c in coeffs,
-    in their order."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return den, [c.numerator * (den // c.denominator) for c in coeffs]
 
 
 Reducer = tuple[Mono, int, list[tuple[Mono, int]]]
@@ -265,7 +257,8 @@ def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], l
         work.pop()
     if not work:
         raise ValueError("zero polynomial")
-    ints = integer_numerators(work)[1]
+    den = lcm(*(c.denominator for c in work))
+    ints = [c.numerator * (den // c.denominator) for c in work]
     roots: list[Fraction] = []
     while len(ints) > 1 and not ints[0]:
         roots.append(Fraction(0))

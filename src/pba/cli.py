@@ -18,7 +18,7 @@ import sys
 from .corpus import bundled_corpus_text, load_corpus, run_corpus
 from .lifting import PointSearchError, cm_certificate, verify_certificate
 from .parser import ParseError, parse
-from .poly import Poly
+from .poly import Poly, int_text
 from .serialize import dumps, report_payload
 from .spectrum import PencilParameter, spectrum_report
 from .triples import NotPoissonError, PolyVec, jacobi_witness, verify_triple, bracket as bracket_op
@@ -104,7 +104,7 @@ def _cmd_spectrum(args) -> int:
     for param, primes in payload["height_one"].items():
         print(f"height one at ({param}):")
         for r in primes:
-            tags = ["primitive" if r["primitive"] else "not primitive", f"multiplicity {r['multiplicity']}"]
+            tags = ["primitive" if r["primitive"] else "not primitive", f"multiplicity {int_text(r['multiplicity'])}"]
             if r["absolutely_irreducible_certified"]:
                 tags.append("absolutely irreducible")
             print(f"  ({r['generator']})  [{', '.join(tags)}]")

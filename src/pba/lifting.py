@@ -22,13 +22,15 @@ weight. The other two products, the unknown's term and the d of weight
 w+1 against b_000 (x-equation) or the b of weight w against d_010 or
 d_001 (y, z), fold in with the pivot division and one gcd.
 
-A TruncatedSeries is a Poly and a cap; its product convolves the Poly
-numerators with poly.product_terms given that cap. verify_lift checks a
-lift with that product. All it shares with the lift kernel is
-poly.product_terms, the product every Poly uses: the capped branch
-serves verify_lift, the uncapped branch the lift. The lift's
-independent checks are the Fraction recurrence oracle of the tests, the
-golden files and the sympy check of pbabench.
+A TruncatedSeries is two fields, a Poly with no term above a cap and
+the cap, read directly (series.poly.items(), series.cap). It has one
+operation of its own, the capped product: poly.product_terms of the two
+numerator dicts given the cap. verify_lift compares b * d_v with the
+component truncated at the weight, for v = x, y, z. All it shares with
+the lift kernel is poly.product_terms, the product every Poly uses: the
+capped branch serves verify_lift, the uncapped branch the lift. The
+lift's independent checks are the Fraction recurrence oracle of the
+tests, the golden files and the sympy check of pbabench.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from itertools import product
 from math import gcd, lcm
 from typing import Iterator, Mapping, Union
 
-from .poly import Monomial, Poly, ScalarLike, product_terms
-from .triples import PolyVec, PoissonTriple, _as_vec, cycle_variables, ensure_verified, verify_triple
+from .poly import Monomial, Poly, product_terms
+from .triples import PolyVec, _as_vec, cycle_variables, ensure_verified, verify_triple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -51,97 +53,47 @@ class PointSearchError(RuntimeError):
     """No base point with f*g nonzero was found inside the search box."""
 
 
+@dataclass(frozen=True, slots=True)
 class TruncatedSeries:
     """An element of the power-series completion at the origin modulo
-    terms of degree > cap: a Poly with no term above the cap, and the
-    cap. Binary operations insist on matching caps."""
+    terms of total degree > cap: a Poly with no term above the cap, and
+    the cap. Read and build it through its fields; series compare by
+    both. The product needs matching caps."""
 
-    __slots__ = ("_poly", "_cap")
+    poly: Poly
+    cap: int
 
-    def __init__(self, terms: Mapping[Monomial, ScalarLike], cap: int):
-        self._poly = truncate(Poly(terms), cap)._poly
-        self._cap = cap
-
-    @classmethod
-    def _make(cls, poly: Poly, cap: int) -> "TruncatedSeries":
-        s = cls.__new__(cls)
-        s._poly = poly
-        s._cap = cap
-        return s
-
-    @property
-    def cap(self) -> int:
-        return self._cap
-
-    def items(self) -> Iterator[tuple[Monomial, Fraction]]:
-        return self._poly.items()
-
-    def coeff(self, mono: Monomial) -> Fraction:
-        return self._poly.coeff(mono)
-
-    def is_zero(self) -> bool:
-        return self._poly.is_zero()
-
-    def to_poly(self) -> Poly:
-        return self._poly
-
-    def _check_cap(self, other: "TruncatedSeries") -> None:
-        if self._cap != other._cap:
-            raise ValueError(f"cap mismatch: {self._cap} vs {other._cap}")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_cap(other)
-        return TruncatedSeries._make(self._poly + other._poly, self._cap)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_cap(other)
-        return TruncatedSeries._make(self._poly - other._poly, self._cap)
-
-    def __neg__(self) -> "TruncatedSeries":
-        return TruncatedSeries._make(-self._poly, self._cap)
+    def __post_init__(self):
+        if self.cap < 0:
+            raise ValueError("cap must be non-negative")
+        if self.poly.total_degree() > self.cap:
+            raise ValueError(f"term of degree {self.poly.total_degree()} above the cap {self.cap}")
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        self._check_cap(other)
-        a, b = self._poly, other._poly
-        return TruncatedSeries._make(Poly._make(product_terms(a._num, b._num, self._cap), a._den * b._den), self._cap)
+        if self.cap != other.cap:
+            raise ValueError(f"cap mismatch: {self.cap} vs {other.cap}")
+        a, b = self.poly, other.poly
+        return TruncatedSeries(Poly._make(product_terms(a._num, b._num, self.cap), a._den * b._den), self.cap)
 
     def derivative(self, var: Union[str, int]) -> "TruncatedSeries":
         """Partial derivative; the cap drops by one because the top slice
         of the input says nothing about higher terms of the derivative."""
-        return truncate(self._poly.derivative(var), max(self._cap - 1, 0))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        return self._cap == other._cap and self._poly == other._poly
-
-    def __hash__(self) -> int:
-        return hash((self._cap, self._poly))
+        return TruncatedSeries(self.poly.derivative(var), max(self.cap - 1, 0))
 
     def __str__(self) -> str:
-        return str(self._poly)
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({str(self._poly)!r}, cap={self._cap})"
+        return str(self.poly)
 
 
 def truncate(p: Poly, cap: int) -> TruncatedSeries:
     """View a polynomial in the completion, chopped at total degree cap."""
-    if cap < 0:
-        raise ValueError("cap must be non-negative")
-    return TruncatedSeries._make(Poly._make({m: n for m, n in p._num.items() if sum(m) <= cap}, p._den), cap)
+    return TruncatedSeries(Poly._make({m: n for m, n in p._num.items() if sum(m) <= cap}, p._den), cap)
 
 
 @dataclass(frozen=True)
 class LiftResult:
-    """A pair b, d with b * grad(d) congruent to the lifted triple through
-    total degree `weight`; b is capped at weight, d at weight + 1.
+    """Series b, capped at weight, and d, capped at weight + 1, with
+    b * grad(d) congruent to the lifted triple through total degree
+    `weight`; their coefficients are those of b.poly and d.poly.
 
     `conventions` records the free coefficient choices that make the lift
     unique: ((i,j,k), value) pairs for d_000, d_100 and each d_(w+1)00.
@@ -254,21 +206,19 @@ def lift_at_origin(F, weight: int) -> LiftResult:
         bw.append(_slice(b, w))
         dw.append(_slice(d, w + 1))
 
-    bs = TruncatedSeries._make(_from_slices(bw), weight)
-    ds = TruncatedSeries._make(_from_slices(dw), weight + 1)
-    return LiftResult(b=bs, d=ds, weight=weight, conventions=_conventions(weight))
+    return LiftResult(
+        b=TruncatedSeries(_from_slices(bw), weight),
+        d=TruncatedSeries(_from_slices(dw), weight + 1),
+        weight=weight,
+        conventions=_conventions(weight),
+    )
 
 
 def verify_lift(result: LiftResult, F) -> bool:
     """Does b * grad(d) agree with F in every coefficient of total degree
     <= weight? This is the congruence the lift promises."""
-    vec = _as_vec(F)
-    w = result.weight
-    for var, comp in zip((0, 1, 2), (vec.f, vec.g, vec.h)):
-        lhs = result.b * result.d.derivative(var)
-        if not (lhs - truncate(comp, w)).is_zero():
-            return False
-    return True
+    b, d, w = result.b, result.d, result.weight
+    return all(b * d.derivative(v) == truncate(c, w) for v, c in enumerate(_as_vec(F)))
 
 
 def _base_points(box: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
@@ -302,7 +252,7 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
     if sum(nonzero) <= 1:
         lift = LiftResult(
             b=truncate(G.f, weight),
-            d=truncate(Poly.variable(0), weight + 1),
+            d=TruncatedSeries(Poly.variable(0), weight + 1),
             weight=weight,
             conventions=_conventions(weight),
         )

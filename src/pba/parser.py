@@ -13,8 +13,9 @@ A leading '-' is sugar for 0 - expr. '/' is only the rational-constant
 separator; dividing non-constant terms is reported as a dedicated error.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside the interpreter's recursion limit; no product or
-power may multiply more than MAX_TERM_PAIRS term pairs, nor any integer
-have more than MAX_DIGITS digits.
+power may multiply more than MAX_TERM_PAIRS term pairs or make
+coefficients that could pass MAX_COEFF_BITS bits, nor any integer
+literal have more than MAX_DIGITS digits.
 render() is the canonical inverse: graded-lex descending term order,
 reduced coefficients, explicit '*'. parse(render(p)) == p.
 """
@@ -22,7 +23,7 @@ reduced coefficients, explicit '*'. parse(render(p)) == p.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, log2
 
 from .poly import Poly
 
@@ -45,6 +46,8 @@ MAX_NESTING = 100
 # term pairs of one product, or of one power over all its steps
 MAX_TERM_PAIRS = 10**6
 MAX_DIGITS = 4300
+# bits of the numerators and denominator a product or power may make
+MAX_COEFF_BITS = 2**18
 
 
 def rational_literal(value) -> Fraction:
@@ -67,6 +70,14 @@ def _power_cost(p: Poly, e: int) -> tuple[int, int]:
         if pairs > MAX_TERM_PAIRS:
             break
     return pairs, terms
+
+
+def _coeff_bits(p: Poly) -> float:
+    """log2 of p's largest numerator plus log2 of its denominator. A
+    coefficient of p*q, over n and m terms, has at most
+    _coeff_bits(p) + _coeff_bits(q) + log2(min(n, m)) bits, and one of
+    p^e at most e * (_coeff_bits(p) + log2(n))."""
+    return log2(max(map(abs, p._num.values()))) + log2(p._den) if p else 0.0
 
 
 _NUM = "NUM"
@@ -124,9 +135,11 @@ class _Parser:
         found = "end of input" if kind == _EOF else repr(value)
         raise ParseError(offset, expected, found, note)
 
-    def bound(self, offset: int, pairs: int) -> None:
+    def bound(self, offset: int, pairs: int, bits: float = 0.0) -> None:
         if pairs > MAX_TERM_PAIRS:
             raise ParseError(offset, (), "", f"expansion past {MAX_TERM_PAIRS} term pairs")
+        if bits > MAX_COEFF_BITS:
+            raise ParseError(offset, (), "", f"coefficient past {MAX_COEFF_BITS} bits")
 
     def expr(self) -> Poly:
         kind, _, _ = self.peek()
@@ -152,7 +165,11 @@ class _Parser:
             kind, _, offset = self.peek()
             if kind == "*":
                 self.take()
-                total = total * self.factor(len(total))
+                right = self.factor(len(total))
+                if total and right:
+                    bits = _coeff_bits(total) + _coeff_bits(right) + log2(min(len(total), len(right)))
+                    self.bound(offset, 0, bits)
+                total = total * right
             elif kind == "/":
                 raise ParseError(offset, ("'+'", "'-'", "'*'"), "'/'",
                                  "division of non-constant terms (use rational coefficients like 1/2)")
@@ -175,7 +192,10 @@ class _Parser:
         self.take()
         e = int(value)
         pairs, terms = _power_cost(base, e) if len(base) > 1 else (0, len(base))
-        self.bound(offset, max(pairs, left * terms))
+        # step is 0 or at least 1, so capping e keeps e * step past the
+        # bound exactly when it was, and e of any size out of the float
+        step = _coeff_bits(base) + log2(len(base)) if base else 0.0
+        self.bound(offset, max(pairs, left * terms), step * min(e, MAX_COEFF_BITS + 1))
         return base**e
 
     def base(self) -> Poly:

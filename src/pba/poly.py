@@ -224,6 +224,8 @@ class Poly:
             return NotImplemented
         if e < 0:
             raise ValueError("negative exponent")
+        if not self._num:
+            return self if e else Poly.one()
         if len(self._num) == 1:
             ((i, j, k), n), = self._num.items()
             return Poly._make({(i * e, j * e, k * e): n**e}, self._den**e)

@@ -5,14 +5,16 @@ text of pba spectrum and the corpus. Documents carry "schema": "pba/1".
 Polynomials are canonical render strings and rationals exact strings
 like "9/2", so a document parses back through the expression grammar
 without loss while its numbers fit parser.MAX_DIGITS. dumps() fixes key
-order and indentation, making load-then-dump byte-identical.
+order and indentation and prints ints in full at any size, making
+load-then-dump byte-identical for every document json.loads reads.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 
-from .poly import Poly, rat_text
+from .poly import Poly, int_text, rat_text
 from .spectrum import PointClass, SpectrumReport
 
 SCHEMA = "pba/1"
@@ -61,7 +63,27 @@ def report_payload(s: Poly, t: Poly, max_deg: int, report: SpectrumReport) -> di
     }
 
 
+def _encode(o, pad: str) -> str:
+    # json.dumps(o, indent=2, sort_keys=True) with ints in int_text, which
+    # prints past the digit limit at which json's str() raises
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if type(o) is int:
+        return int_text(o)
+    inner = pad + "  "
+    if isinstance(o, dict) and o:
+        items = [f"{encode_basestring_ascii(k)}: {_encode(o[k], inner)}" for k in sorted(o)]
+        brackets = "{}"
+    elif isinstance(o, (list, tuple)) and o:
+        items = [_encode(v, inner) for v in o]
+        brackets = "[]"
+    else:
+        return json.dumps(o)
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{brackets[1]}"
+
+
 def dumps(payload: dict | list) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing
-    newline. Loading and re-dumping a document reproduces it exactly."""
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    newline, ints in full at any size. Loading and re-dumping a document
+    reproduces it exactly."""
+    return _encode(payload, "") + "\n"

@@ -312,6 +312,28 @@ def test_bracket_prints_an_exponent_past_the_str_digit_limit():
     assert decimal_value(power) == 2 * decimal_value(n) - 1
 
 
+# s = x^N * x = x^(10^4300) with N = 10^4300 - 1: the height-one prime (x)
+# has multiplicity 10^4300, 4301 digits
+BIG_MULTIPLICITY = ("spectrum", "--s", f"x^{'9' * MAX_DIGITS}*x", "--params", "1:0")
+
+
+def test_spectrum_text_prints_a_multiplicity_past_the_str_digit_limit():
+    code, out, err = run_cli(*BIG_MULTIPLICITY)
+    assert (code, err) == (0, "")
+    row = f"  (x)  [not primitive, multiplicity 1{'0' * MAX_DIGITS}, absolutely irreducible]\n"
+    assert f"height one at (1:0):\n{row}" in out
+
+
+def test_spectrum_json_prints_a_multiplicity_past_the_str_digit_limit():
+    code, out, err = run_cli(*BIG_MULTIPLICITY, "--json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_int=decimal_value)
+    (row,) = doc["height_one"]["1:0"]
+    assert row["generator"] == "x"
+    assert row["multiplicity"] == 10**MAX_DIGITS
+    assert f'"multiplicity": 1{"0" * MAX_DIGITS},\n' in out
+
+
 def test_lift_certificate():
     code, out, _ = run_cli("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "4")
     assert code == 0

@@ -1,5 +1,6 @@
 """Tests for the polynomial text format."""
 
+import time
 from fractions import Fraction
 from math import comb, factorial
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pba.parser import MAX_DIGITS, MAX_NESTING, MAX_TERM_PAIRS, ParseError, _power_cost, parse, render
+from pba.parser import MAX_COEFF_BITS, MAX_DIGITS, MAX_NESTING, MAX_TERM_PAIRS, ParseError, _power_cost, parse, render
 from pba.poly import Poly, X, Y, Z
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
@@ -100,6 +101,34 @@ def test_expansion_is_bounded_before_it_runs():
             parse(text)
     # a single term is raised directly, at any exponent
     assert parse("(2*x*y)^100000").leading_monomial() == (100000, 100000, 0)
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("3^16000000", 2),
+    ("2^1000000000000", 2),
+    ("(2*x)^1000000000000", 6),
+    ("(1/2*x)^300000", 8),
+    ("(2^1000*x + 1)^300", 15),
+    ("*".join(["2^999999"] * 40), 2),
+    ("2^200000*2^200000", 8),
+    ("(2^200000 + x)*(2^200000 + y)", 14),
+])
+def test_coefficient_growth_is_bounded_before_it_runs(text, offset):
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"offset {offset}: coefficient past {MAX_COEFF_BITS} bits"):
+        parse(text)
+    assert time.perf_counter() - start < 1
+
+
+def test_coefficients_up_to_the_bound_parse():
+    half = MAX_COEFF_BITS // 2
+    assert parse(f"2^{MAX_COEFF_BITS}") == Poly.constant(2**MAX_COEFF_BITS)
+    assert parse(f"2^{half}*(2^{half}*x + 1)") == 2**MAX_COEFF_BITS * X + 2**half
+    assert parse(f"(1/2*x)^{MAX_COEFF_BITS}") == Fraction(1, 2**MAX_COEFF_BITS) * X**MAX_COEFF_BITS
+    # no power of 0, 1 or -1 grows a coefficient, at any exponent
+    n = "9" * MAX_DIGITS
+    assert parse(f"0^{n}") == parse("(x - x)^5") == Poly.zero()
+    assert parse(f"1^{n}") == -parse(f"(-1)^{n}") == parse("0^0") == Poly.one()
 
 
 def test_integer_literals_are_bounded_in_length():
