@@ -7,9 +7,10 @@ coefficient, so nothing assumes width three.
 
 Variable precedence follows tuple position (slot 0 highest). Buchberger
 keeps each basis element primitive with its lead alongside and reduces
-fraction-free; the solver substitutes a root a/b scaled by b^deg. Pairs
-go smallest lcm first and are pruned by the Gebauer-Moller update (J.
-Symb. Comp. 6, 1988); normal_form and certify use the same reduction.
+fraction-free. Pairs go smallest lcm first and are pruned by the
+Gebauer-Moller update (J. Symb. Comp. 6, 1988); normal_form and certify
+use the same reduction. One substitute (slot = a/b, times b^deg) serves
+the solver, the gcd and Poly.evaluate; Poly.translate is a Taylor shift.
 
 Inputs are read-only and every polynomial returned is a fresh dict, so
 callers may pass the term dicts of immutable polynomials uncopied.
@@ -20,9 +21,9 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import gcd as igcd, isqrt, lcm
-from operator import add, le, sub
+from operator import add, le, mul, sub
 
 Mono = tuple[int, ...]
 Epoly = dict[Mono, int]
@@ -51,6 +52,19 @@ def mono_add(a: Mono, b: Mono) -> Mono:
 
 def mono_sub(a: Mono, b: Mono) -> Mono:
     return tuple(map(sub, a, b))
+
+
+def substitute(p: Epoly, vi: int, a: int, b: int = 1) -> tuple[Epoly, int]:
+    """(b^deg * p with slot vi set to a/b, deg), deg being the largest
+    exponent of slot vi in p: an integer polynomial with slot vi zero."""
+    deg = max((m[vi] for m in p), default=0)
+    pa = list(accumulate(repeat(a, deg), mul, initial=1))
+    pb = list(accumulate(repeat(b, deg), mul, initial=1))
+    out: Epoly = {}
+    for m, c in p.items():
+        k = m[:vi] + (0,) + m[vi + 1:]
+        out[k] = out.get(k, 0) + c * pa[m[vi]] * pb[deg - m[vi]]
+    return {k: v for k, v in out.items() if v}, deg
 
 
 Reducer = tuple[Mono, int, list[tuple[Mono, int]]]
@@ -249,9 +263,9 @@ def _deflate(ints: list[int], a: int, b: int) -> list[int] | None:
     return None if ints[0] + a * acc else quot
 
 
-def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """Distinct rational roots of sum(coeffs[i] * v^i), plus the residual
-    cofactor (monic) left after dividing all rational roots out."""
+def univariate_rational_roots(coeffs: list[int | Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """Distinct rational roots of sum(coeffs[i] * v^i), for int or Fraction
+    coeffs, plus the monic residual cofactor left after dividing them out."""
     work = list(coeffs)
     while work and not work[-1]:
         work.pop()
@@ -283,16 +297,6 @@ def univariate_rational_roots(coeffs: list[Fraction]) -> tuple[list[Fraction], l
     return sorted(set(roots)), [Fraction(c, ints[-1]) for c in ints]
 
 
-def _subst_last(p: Epoly, r: Fraction) -> Epoly:
-    """b^deg * p(..., a/b) for r = a/b: integral."""
-    a, b = r.numerator, r.denominator
-    deg = max(m[-1] for m in p)
-    out: Epoly = {}
-    for m, c in p.items():
-        out[m[:-1]] = out.get(m[:-1], 0) + c * a ** m[-1] * b ** (deg - m[-1])
-    return {k: v for k, v in out.items() if v}
-
-
 def solve_rational(basis: list[Epoly], nvars: int) -> tuple[list[tuple[Fraction, ...]], bool, list[tuple[int, list[Fraction]]]]:
     """All rational points of a zero-dimensional ideal from its reduced lex
     basis: peel rational roots of the last-variable eliminant, substitute,
@@ -304,28 +308,28 @@ def solve_rational(basis: list[Epoly], nvars: int) -> tuple[list[tuple[Fraction,
     coefficient list) pairs.
     """
     sink: list[tuple[int, list[Fraction]]] = []
-    points, complete = _solve_rec(basis, nvars, sink)
+    points, complete = _solve_rec(basis, nvars - 1, sink)
     points.sort()
     return points, complete, sink
 
 
-def _solve_rec(basis: list[Epoly], n: int, sink) -> tuple[list[tuple[Fraction, ...]], bool]:
-    if not basis or any(any(m[:-1]) for m in basis[-1]):
+def _solve_rec(basis: list[Epoly], v: int, sink) -> tuple[list[tuple[Fraction, ...]], bool]:
+    if not basis or any(any(m[:v]) for m in basis[-1]):
         return [], False  # no eliminant: not zero-dimensional
-    e = basis[-1]  # its lead is a power of the last variable
-    coeffs = [0] * (max(m[-1] for m in e) + 1)
+    e = basis[-1]  # its lead is a power of v; the slots past v are substituted, 0
+    coeffs = [0] * (max(m[v] for m in e) + 1)
     for m, c in e.items():
-        coeffs[m[-1]] = c
+        coeffs[m[v]] = c
     roots, residual = univariate_rational_roots(coeffs)
     complete = len(residual) == 1
     if not complete:
-        sink.append((n - 1, residual))
-    if n == 1:  # a reduced basis in one variable is e alone
+        sink.append((v, residual))
+    if v == 0:  # a reduced basis in one variable is e alone
         return [(r,) for r in roots], complete
     points: list[tuple[Fraction, ...]] = []
     for r in roots:
-        sub = buchberger([_subst_last(g, r) for g in basis], lex_key)
-        sub_points, sub_complete = _solve_rec(sub, n - 1, sink)
+        sub = buchberger([substitute(g, v, r.numerator, r.denominator)[0] for g in basis], lex_key)
+        sub_points, sub_complete = _solve_rec(sub, v - 1, sink)
         complete = complete and sub_complete
         points.extend(pt + (r,) for pt in sub_points)
     return points, complete

@@ -13,9 +13,10 @@ A leading '-' is sugar for 0 - expr. '/' is only the rational-constant
 separator; dividing non-constant terms is reported as a dedicated error.
 Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside the interpreter's recursion limit; no product or
-power may multiply more than MAX_TERM_PAIRS term pairs or make
-coefficients that could pass MAX_COEFF_BITS bits, nor any integer
-literal have more than MAX_DIGITS digits.
+power may multiply more than MAX_TERM_PAIRS term pairs, make
+coefficients that could pass MAX_COEFF_BITS bits, or have term pairs
+times coefficient bits past MAX_PAIR_BITS, nor any integer literal have
+more than MAX_DIGITS digits.
 render() is the canonical inverse: graded-lex descending term order,
 reduced coefficients, explicit '*'. parse(render(p)) == p.
 """
@@ -48,6 +49,9 @@ MAX_TERM_PAIRS = 10**6
 MAX_DIGITS = 4300
 # bits of the numerators and denominator a product or power may make
 MAX_COEFF_BITS = 2**18
+# term pairs times coefficient bits, which the cost of the arithmetic grows
+# with: (2^250*x + 1)^999 holds each bound above but not this one
+MAX_PAIR_BITS = 2**33
 
 
 def rational_literal(value) -> Fraction:
@@ -140,6 +144,8 @@ class _Parser:
             raise ParseError(offset, (), "", f"expansion past {MAX_TERM_PAIRS} term pairs")
         if bits > MAX_COEFF_BITS:
             raise ParseError(offset, (), "", f"coefficient past {MAX_COEFF_BITS} bits")
+        if pairs * bits > MAX_PAIR_BITS:
+            raise ParseError(offset, (), "", f"term pairs times coefficient bits past {MAX_PAIR_BITS}")
 
     def expr(self) -> Poly:
         kind, _, _ = self.peek()
@@ -168,7 +174,7 @@ class _Parser:
                 right = self.factor(len(total))
                 if total and right:
                     bits = _coeff_bits(total) + _coeff_bits(right) + log2(min(len(total), len(right)))
-                    self.bound(offset, 0, bits)
+                    self.bound(offset, len(total) * len(right), bits)
                 total = total * right
             elif kind == "/":
                 raise ParseError(offset, ("'+'", "'-'", "'*'"), "'/'",

@@ -16,6 +16,8 @@ Gauss's lemma, stops at the first lead coefficient that does not divide
 gcd is the heuristic GCDHEU on the numerators; where it gives up, it is
 p*q / lcm(p, q), the lcm from one elimination by the Groebner engine
 (Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms", Ch. 4 Sec. 3).
+GCDHEU's images and evaluate use the one substitution, _engine.substitute;
+translate is an integer Taylor shift (von zur Gathen & Gerhard, ISSAC 1997).
 """
 
 from __future__ import annotations
@@ -24,10 +26,12 @@ import heapq
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd as igcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Union
 
-from ._engine import Mono, buchberger, grlex_key
+from ._engine import Mono, buchberger, grlex_key, substitute
 
 Monomial = tuple[int, int, int]
 ScalarLike = Union[Fraction, int]
@@ -250,22 +254,32 @@ class Poly:
                            for m, n in self._num.items() if m[vi]}, self._den)
 
     def evaluate(self, point: Iterable[ScalarLike]) -> Fraction:
-        a, b, c = (Fraction(v) for v in point)
-        total = sum(n * a**i * b**j * c**k for (i, j, k), n in self._num.items())
-        return Fraction(total) / self._den
+        num, den = self._num, self._den
+        for vi, v in enumerate(point):
+            num, deg = substitute(num, vi, v.numerator, v.denominator)
+            den *= v.denominator**deg
+        return Fraction(num.get(_ORIGIN_MONO, 0), den)
 
     def translate(self, point: Iterable[ScalarLike]) -> "Poly":
-        """Shift of variables: returns p(x+a, y+b, z+c) for point (a, b, c),
-        by Horner's rule in one variable at a time."""
-        p = self
+        """Shift of variables: self(x+a, y+b, z+c) for point (a, b, c). Per
+        variable, with a = p/q and top its largest exponent, n*v^e becomes
+        sum_r n*C(e, r)*p^(e-r)*q^(top-e+r)*v^r over q^top."""
+        num, den = self._num, self._den
         for vi, a in enumerate(point):
-            if a and p:
-                cs = _as_univariate(p, vi)
-                v = Poly.variable(vi) + Fraction(a)
-                p = Poly.zero()
-                for e in range(max(cs), -1, -1):
-                    p = p * v + cs.get(e, 0)
-        return p
+            if a and num:
+                top = max(m[vi] for m in num)
+                pp = list(accumulate(repeat(a.numerator, top), mul, initial=1))
+                qp = list(accumulate(repeat(a.denominator, top), mul, initial=1))
+                out: Terms = {}
+                for m, n in num.items():
+                    e = m[vi]
+                    for r in range(e + 1):  # n is the term's n*C(e, r)
+                        k = m[:vi] + (r,) + m[vi + 1:]
+                        out[k] = out.get(k, 0) + n * pp[e - r] * qp[top - e + r]
+                        n = n * (e - r) // (r + 1)
+                num = {m: c for m, c in out.items() if c}
+                den *= qp[top]
+        return Poly._make(num, den)
 
     def substitute_exponents(self, perm: tuple[int, int, int]) -> "Poly":
         """Permute variables: exponent triple m maps to m reordered by perm.
@@ -409,18 +423,6 @@ _HEU_TRIES = 6
 _HEU_MAX_BITS = 16000
 
 
-def _evaluate_at(p: Terms, vi: int, xi: int) -> Terms:
-    # p at variable vi = xi
-    powers = [1]
-    for _ in range(max(m[vi] for m in p)):
-        powers.append(powers[-1] * xi)
-    out = {}
-    for m, c in p.items():
-        key = m[:vi] + (0,) + m[vi + 1:]
-        out[key] = out.get(key, 0) + c * powers[m[vi]]
-    return {m: c for m, c in out.items() if c}
-
-
 def _interpolate(g: Terms, vi: int, xi: int) -> Terms:
     # balanced base-xi digits of each coefficient of g become the
     # coefficients of the powers of variable vi
@@ -453,7 +455,7 @@ def _gcd_heu(a: Terms, b: Terms) -> Union[Terms, None]:
     for _ in range(_HEU_TRIES):
         if xi.bit_length() * deg > _HEU_MAX_BITS:
             return None
-        ea, eb = _evaluate_at(a, vi, xi), _evaluate_at(b, vi, xi)
+        ea, eb = substitute(a, vi, xi)[0], substitute(b, vi, xi)[0]
         g = _gcd_heu(ea, eb) if ea and eb else ea or eb
         if g is None:
             return None
@@ -468,13 +470,6 @@ def _gcd_heu(a: Terms, b: Terms) -> Union[Terms, None]:
         # the growth factor of Char, Geddes & Gonnet
         xi = xi * 73794 // 27011
     return None
-
-
-def _as_univariate(p: Poly, vi: int) -> dict[int, Poly]:
-    out: dict[int, Terms] = {}
-    for m, n in p._num.items():
-        out.setdefault(m[vi], {})[m[:vi] + (0,) + m[vi + 1:]] = n
-    return {d: Poly._make(num, p._den) for d, num in out.items()}
 
 
 def _elimination_key(m: Mono):

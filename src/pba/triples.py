@@ -151,9 +151,7 @@ def bracket(F, b: Poly, c: Poly) -> Poly:
 
 def hamiltonian(F, b: Poly) -> PolyVec:
     """({b,x}, {b,y}, {b,z}) as a vector of polynomials."""
-    f, g, h = _as_vec(F)
-    bx, by, bz = grad(b)
-    return PolyVec(g * bz - h * by, h * bx - f * bz, f * by - g * bx)
+    return cross(_as_vec(F), grad(b))
 
 
 def jacobiator(F, a: Poly, b: Poly, c: Poly) -> Poly:

@@ -444,7 +444,7 @@ def test_corpus_malformed_expected_row(tmp_path, edit, message):
     assert err.startswith(f"error: {message}")
 
 
-@pytest.mark.parametrize("text", ["(x+y+z+1)^100", "(x+y+z+1)^40*(x+y+z+2)^40"])
+@pytest.mark.parametrize("text", ["(x+y+z+1)^100", "(x+y+z+1)^40*(x+y+z+2)^40", "(2^250*x + 1)^999"])
 def test_expansion_past_the_bound_exits_2_quickly(text):
     start = time.perf_counter()
     code, out, err = run_cli("spectrum", "--s", text, "--params", "1:0")

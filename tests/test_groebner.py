@@ -403,7 +403,18 @@ def trial_division_roots(coeffs):
     return sorted(roots), [c / ints[-1] for c in ints]
 
 
+def test_substitute_pins():
+    p = {(1, 2, 0, 3): 5, (0, 0, 1, 1): -2, (2, 0, 0, 0): 7}
+    # 3^3 * p with the last slot at 2/3: each term scaled by 2^e * 3^(3-e)
+    assert _engine.substitute(p, 3, 2, 3) == ({(1, 2, 0, 0): 40, (0, 0, 1, 0): -36, (2, 0, 0, 0): 189}, 3)
+    assert _engine.substitute(p, 1, -1) == ({(1, 0, 0, 3): 5, (0, 0, 1, 1): -2, (2, 0, 0, 0): 7}, 2)
+    # terms that meet on the zeroed slot add, and cancelling ones drop
+    assert _engine.substitute({(0, 0, 1, 1): 2, (0, 0, 1, 0): -4}, 3, 2) == ({}, 1)
+    assert p == {(1, 2, 0, 3): 5, (0, 0, 1, 1): -2, (2, 0, 0, 0): 7}
+
+
 def test_quadratic_roots_pins():
+    assert univariate_rational_roots([-1, -1, 2]) == ([Fraction(-1, 2), Fraction(1)], [Fraction(1)])
     F = Fraction
     # two roots, a double root, no rational root, a negative discriminant
     assert univariate_rational_roots([F(-1), F(-1), F(2)]) == ([F(-1, 2), F(1)], [F(1)])

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pba.parser import MAX_COEFF_BITS, MAX_DIGITS, MAX_NESTING, MAX_TERM_PAIRS, ParseError, _power_cost, parse, render
+from pba.parser import (
+    MAX_COEFF_BITS,
+    MAX_DIGITS,
+    MAX_NESTING,
+    MAX_PAIR_BITS,
+    MAX_TERM_PAIRS,
+    ParseError,
+    _power_cost,
+    parse,
+    render,
+)
 from pba.poly import Poly, X, Y, Z
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
@@ -90,6 +100,10 @@ def test_high_power_expands_in_bounded_time():
     assert len(p) == 12341
     assert p.coeff((40, 0, 0)) == 1
     assert p.coeff((10, 10, 10)) == factorial(40) // factorial(10) ** 4
+    # under MAX_PAIR_BITS, 999,000 term pairs of up to 1998 bits
+    p = parse("(2*x+1)^999")
+    assert len(p) == 1000
+    assert p.coeff((999, 0, 0)) == 2**999 and p.coeff((1, 0, 0)) == 2 * 999
 
 
 def test_expansion_is_bounded_before_it_runs():
@@ -116,6 +130,21 @@ def test_expansion_is_bounded_before_it_runs():
 def test_coefficient_growth_is_bounded_before_it_runs(text, offset):
     start = time.perf_counter()
     with pytest.raises(ParseError, match=f"offset {offset}: coefficient past {MAX_COEFF_BITS} bits"):
+        parse(text)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("text, offset", [
+    ("(2^250*x + 1)^999", 14),
+    ("(2^100*x + 1)^999", 14),
+    ("(2^250*x + 1)^500", 14),
+    ("(2^1000*x + 1)^261", 15),
+    ("(x+y+z+1)^10*2^200000*(x+y+z+1)^10", 21),
+])
+def test_pairs_times_bits_is_bounded_before_it_runs(text, offset):
+    # each of these holds MAX_TERM_PAIRS and MAX_COEFF_BITS
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"offset {offset}: term pairs times coefficient bits past {MAX_PAIR_BITS}"):
         parse(text)
     assert time.perf_counter() - start < 1
 

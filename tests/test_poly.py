@@ -3,6 +3,7 @@
 import fractions
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -185,6 +186,14 @@ def test_evaluate():
 def test_translate_pin():
     assert (X * Y).translate((1, 2, 0)) == (X + 1) * (Y + 2)
     assert (Z**2).translate((0, 0, -1)) == Z**2 - 2 * Z + 1
+
+
+def test_translate_of_a_high_power_is_fast():
+    start = time.perf_counter()
+    p = (X**2000).translate((1, 0, 0))
+    assert time.perf_counter() - start < 1
+    assert len(p) == 2001
+    assert all(p.coeff((r, 0, 0)) == math.comb(2000, r) for r in (0, 1, 7, 1000, 2000))
 
 
 def test_substitute_exponents_cycle():
@@ -416,6 +425,7 @@ mixed = st.fractions(min_value=-7, max_value=7, max_denominator=12)
 oracle_polys = st.dictionaries(monos, mixed, max_size=5).map(
     lambda d: {m: c for m, c in d.items() if c})
 scalars = mixed.filter(bool)
+far = st.builds(Fraction, st.integers(-10**40, 10**40), st.integers(1, 10**40))
 
 
 def canonical(p: Poly) -> dict:
@@ -455,6 +465,11 @@ def o_pow(a, e):
     return out
 
 
+def o_evaluate(a, point):
+    x, y, z = (Fraction(v) for v in point)
+    return sum(c * x**i * y**j * z**k for (i, j, k), c in a.items())
+
+
 def o_lead(a):
     return max(a, key=lambda m: (sum(m), m))
 
@@ -475,10 +490,11 @@ def o_quotient(a, b):
     return quot
 
 
-@given(oracle_polys, oracle_polys, scalars, st.integers(0, 3))
+@given(oracle_polys, oracle_polys, scalars, st.integers(0, 3), st.tuples(far, far, far))
 @settings(max_examples=60, deadline=None)
-def test_arithmetic_matches_the_fraction_oracle(a, b, c, e):
+def test_arithmetic_matches_the_fraction_oracle(a, b, c, e, point):
     pa, pb = Poly(a), Poly(b)
+    assert pa.evaluate(point) == o_evaluate(a, point)
     assert canonical(pa) == a and canonical(pb) == b
     assert canonical(pa + pb) == o_add(a, b)
     assert canonical(pa - pb) == o_add(a, b, -1)
@@ -556,15 +572,25 @@ def test_integer_kernels_make_no_fractions():
 
     a = parse("3*x^2*y - 5*z + 7*x*y*z - 2")
     b = parse("x*y - 4*z^2 + 11")
+    point = (Fraction(1, 2), -3, Fraction(2, 5))
     sys.setprofile(count)
     try:
         product = a * b
         total = a + b
         quotient = exact_quotient(product, b)
+        shifted = a.translate(point)
     finally:
         sys.setprofile(None)
     assert made == []
     assert quotient == a and total == b + a
+    assert shifted.evaluate((0, 0, 0)) == a.evaluate(point)
+    # evaluate makes the one Fraction it returns
+    sys.setprofile(count)
+    try:
+        value = a.evaluate(point)
+    finally:
+        sys.setprofile(None)
+    assert made == ["__new__"] and value == Fraction(-209, 20)
     # the counter sees the Fractions made at the public edges
     sys.setprofile(count)
     try:
