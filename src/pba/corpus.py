@@ -59,6 +59,8 @@ def load_corpus(text: str) -> list[CorpusEntry]:
     entries = []
     for item in raw:
         try:
+            if type(item["name"]) is not str:
+                raise ValueError("name: needs a string")
             s = parse(item["s"])
             t = parse(item["t"])
             expected = dict(item["expected"])
@@ -69,6 +71,9 @@ def load_corpus(text: str) -> list[CorpusEntry]:
                 expected["maximal_points"] = {tuple(rat_text(rational_literal(c)) for c in r) for r in rows}
             if type(expected.get("residually_null_dimension", 0)) is not int:
                 raise ValueError("residually_null_dimension: needs an int")
+            max_deg = item.get("max_deg", 3)
+            if type(max_deg) is not int:
+                raise ValueError("max_deg: needs an int")
             expected["height_one"] = [
                 (str(PencilParameter.parse(key)), sorted(_row(key, row) for row in rows))
                 for key, rows in expected.get("height_one", {}).items()
@@ -79,7 +84,7 @@ def load_corpus(text: str) -> list[CorpusEntry]:
                     s=s,
                     t=t,
                     params=tuple(PencilParameter.parse(q) for q in item["params"]),
-                    max_deg=int(item.get("max_deg", 3)),
+                    max_deg=max_deg,
                     expected=expected,
                 )
             )

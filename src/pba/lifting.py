@@ -12,25 +12,26 @@ deterministic and are recorded on the result.
 At weight w the equations give b's coefficients of weight w and d's of
 weight w+1. Each coefficient equation is a sum of products of one b and
 one d coefficient. All but two of them pair b of weight w+1-u with d of
-weight u for some u in 2..w, weights finished before w starts, so
-lift_at_origin sums them once per weight: for each variable v, the
-poly.product_terms of every such b slice with the terms m[v] * d_m of
-its d slice. It runs on ints: b and d are reduced
-numerator/denominator pairs, each finished weight is rescaled to integer
-numerators, and the sums and f, g, h lie over one denominator per
-weight. The other two products, the unknown's term and the d of weight
-w+1 against b_000 (x-equation) or the b of weight w against d_010 or
-d_001 (y, z), fold in with the pivot division and one gcd.
+weight u for some u in 2..w, weights finished before w starts. A slice
+of known weight holds (i, j, k) at index i*S + j, S = weight + 2; no
+exponent reaches S, so a product's index is the sum of its factors'.
+lift_at_origin makes one pass over each such pair of slices and adds
+m[v] * b * d_m into flat lists of sums for v = x, y, z. It runs on ints:
+weights in progress are flat lists of reduced numerator/denominator
+pairs, finished ones integer numerators over one denominator, and the
+sums and f, g, h lie over one denominator per weight. The other two
+products, the unknown's term and the d of weight w+1 against b_000
+(x-equation) or the b of weight w against d_010 or d_001 (y, z), fold
+in with the pivot division and one gcd.
 
 A TruncatedSeries is two fields, a Poly with no term above a cap and
 the cap, read directly (series.poly.items(), series.cap). It has one
 operation of its own, the capped product: poly.product_terms of the two
 numerator dicts given the cap. verify_lift compares b * d_v with the
-component truncated at the weight, for v = x, y, z. All it shares with
-the lift kernel is poly.product_terms, the product every Poly uses: the
-capped branch serves verify_lift, the uncapped branch the lift. The
-lift's independent checks are the Fraction recurrence oracle of the
-tests, the golden files and the sympy check of pbabench.
+component truncated at the weight, for v = x, y, z. It shares no code
+with the lift kernel, only the Poly it reads. The lift's independent
+checks are the Fraction recurrence oracle of the tests, the golden files
+and the sympy check of pbabench.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Union
 
 from .poly import Monomial, Poly, product_terms
 from .triples import PolyVec, _as_vec, cycle_variables, ensure_verified, verify_triple
@@ -127,18 +128,18 @@ def _ratio(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _slice(coeffs: Mapping[Monomial, tuple[int, int]], u: int) -> tuple[dict[Monomial, int], int]:
-    """The nonzero coefficients of weight u as integer numerators over the
-    lcm of their denominators, and that lcm. A monomial missing from
-    coeffs raises KeyError."""
-    pairs = {m: coeffs[m] for m in ((u - a, a - k, k) for a in range(u + 1) for k in range(a + 1))}
-    den = lcm(*(q for _, q in pairs.values()))
-    return {m: n * (den // q) for m, (n, q) in pairs.items() if n}, den
+def _slice(flat: list, u: int, S: int) -> tuple[list, int]:
+    """Weight u of flat as nonzero (index, i, j, k, numerator) over one
+    lcm, and that lcm."""
+    terms = [(i * S + j, i, j, u - i - j) for i in range(u, -1, -1) for j in range(u - i, -1, -1)]
+    pairs = [flat[t[0]] for t in terms]
+    den = lcm(*[q for _, q in pairs])
+    return [(*t, n * (den // q)) for t, (n, q) in zip(terms, pairs) if n], den
 
 
 def _from_slices(slices) -> Poly:
     den = lcm(*(sd for _, sd in slices))
-    return Poly._make({m: n * (den // sd) for num, sd in slices for m, n in num.items()}, den)
+    return Poly._make({(i, j, k): n * (den // sd) for terms, sd in slices for _, i, j, k, n in terms}, den)
 
 
 def lift_at_origin(F, weight: int) -> LiftResult:
@@ -152,59 +153,67 @@ def lift_at_origin(F, weight: int) -> LiftResult:
     if not fn.get(_ORIGIN) or not gn.get(_ORIGIN):
         raise ValueError("lift needs nonzero constant terms in f and g")
 
+    S = weight + 2
     f0n, f0d = _ratio(fn[_ORIGIN], fden)
-    b: dict[Monomial, tuple[int, int]] = {_ORIGIN: (f0n, f0d)}
-    d: dict[Monomial, tuple[int, int]] = {
-        _ORIGIN: (0, 1),
-        (1, 0, 0): (1, 1),
-        (0, 1, 0): _ratio(gn[_ORIGIN] * f0d, gden * f0n),
-        (0, 0, 1): _ratio(hn.get(_ORIGIN, 0) * f0d, hden * f0n),
-    }
-    (yn, yd), (zn, zd) = d[(0, 1, 0)], d[(0, 0, 1)]
+    yn, yd = _ratio(gn[_ORIGIN] * f0d, gden * f0n)
+    zn, zd = _ratio(hn.get(_ORIGIN, 0) * f0d, hden * f0n)
+    d1 = [(zn, zd), (yn, yd)] + [None] * (S - 2) + [(1, 1)]
 
     # Finished weights: bw[u] and dw[u] are _slice of weight u of b and d.
-    bw = [_slice(b, 0)]
-    dw = [_slice(d, 0), _slice(d, 1)]
+    bw = [_slice([(f0n, f0d)], 0, S)]
+    dw = [_slice([(0, 1)], 0, S), _slice(d1, 1, S)]
 
     for w in range(1, weight + 1):
-        d[(w + 1, 0, 0)] = (0, 1)
-        # acc[v][M], M of weight w+1, is den times the sum of
-        # m[v] * b_(M-m) * d_m over the m of weight u in 2..w
+        # b of weight w and d of weight w+1 by index
+        size = (w + 2) * S
+        b, d = [None] * size, [None] * size
+        d[(w + 1) * S] = (0, 1)
+        # ax[M], M of weight w+1, is den times the sum of m[0] * b_(M-m) * d_m
+        # over the m of weight u in 2..w; ay (M free of z), az: m[1], m[2]
         den = lcm(fden, gden, hden, *(bw[w + 1 - u][1] * dw[u][1] for u in range(2, w + 1)))
         fs, gs, hs = den // fden, den // gden, den // hden
-        acc: tuple[dict, dict, dict] = ({}, {}, {})
+        ax, ay, az = [0] * size, [0] * size, [0] * size
         for u in range(2, w + 1):
-            bnum, bden = bw[w + 1 - u]
-            dnum, dden = dw[u]
+            bterms, bden = bw[w + 1 - u]
+            dterms, dden = dw[u]
             scale = den // (bden * dden)
-            for v, sums in enumerate(acc):
-                grad = {m: m[v] * scale * n for m, n in dnum.items() if m[v]}
-                for M, n in product_terms(bnum, grad).items():
-                    sums[M] = sums.get(M, 0) + n
-        ax, ay, az = acc
+            dterms = [(y, i, j, k, n * scale) for y, i, j, k, n in dterms]
+            for x, _, _, bk, bn in bterms:
+                for y, i, j, k, dn in dterms:
+                    M = x + y
+                    p = bn * dn
+                    if i:
+                        ax[M] += i * p
+                    if k:
+                        az[M] += k * p
+                    elif j and not bk:
+                        ay[M] += j * p
 
         for i in range(w, -1, -1):
             rem = w - i
             for j in range(rem, -1, -1):
                 k = rem - j
+                x = i * S + j
                 # b_ijk from the x-equation at (i,j,k); its own term has
                 # factor d_100 = 1, and d_(i+1)jk is the one of weight w+1
-                s = fn.get((i, j, k), 0) * fs - ax.get((i + 1, j, k), 0)
-                dn, dd = d[(i + 1, j, k)]
-                b[(i, j, k)] = _ratio(s * f0d * dd - (i + 1) * f0n * dn * den, den * f0d * dd)
+                s = fn.get((i, j, k), 0) * fs - ax[x + S]
+                dn, dd = d[x + S]
+                b[x] = _ratio(s * f0d * dd - (i + 1) * f0n * dn * den, den * f0d * dd)
             j = rem
+            x = i * S + j
             # d_i(j+1)0 from the y-equation at (i,j,0); pivot (j+1)*f0
-            s = gn.get((i, j, 0), 0) * gs - ay.get((i, j + 1, 0), 0)
-            bn, bd = b[(i, j, 0)]
-            d[(i, j + 1, 0)] = _ratio((s * bd * yd - bn * yn * den) * f0d, den * bd * yd * (j + 1) * f0n)
+            s = gn.get((i, j, 0), 0) * gs - ay[x + 1]
+            bn, bd = b[x]
+            d[x + 1] = _ratio((s * bd * yd - bn * yn * den) * f0d, den * bd * yd * (j + 1) * f0n)
             for k in range(rem + 1):
                 j = rem - k
+                x = i * S + j
                 # d_ij(k+1) from the z-equation at (i,j,k); pivot (k+1)*f0
-                s = hn.get((i, j, k), 0) * hs - az.get((i, j, k + 1), 0)
-                bn, bd = b[(i, j, k)]
-                d[(i, j, k + 1)] = _ratio((s * bd * zd - bn * zn * den) * f0d, den * bd * zd * (k + 1) * f0n)
-        bw.append(_slice(b, w))
-        dw.append(_slice(d, w + 1))
+                s = hn.get((i, j, k), 0) * hs - az[x]
+                bn, bd = b[x]
+                d[x] = _ratio((s * bd * zd - bn * zn * den) * f0d, den * bd * zd * (k + 1) * f0n)
+        bw.append(_slice(b, w, S))
+        dw.append(_slice(d, w + 1, S))
 
     return LiftResult(
         b=TruncatedSeries(_from_slices(bw), weight),
@@ -243,6 +252,8 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
     [-search_box, search_box]^3, and the translated triple is lifted.
     """
     G = ensure_verified(F)
+    if search_box < 0:
+        raise ValueError("search_box must be non-negative")
     nonzero = [not c.is_zero() for c in G.vec]
     # c cycles move components c and c + 1 (mod 3) into the f and g slots
     pairs = [c for c in range(3) if nonzero[c] and nonzero[(c + 1) % 3]]

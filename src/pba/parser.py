@@ -18,7 +18,8 @@ coefficients that could pass MAX_COEFF_BITS bits, or have term pairs
 times coefficient bits past MAX_PAIR_BITS, nor any integer literal have
 more than MAX_DIGITS digits.
 render() is the canonical inverse: graded-lex descending term order,
-reduced coefficients, explicit '*'. parse(render(p)) == p.
+reduced coefficients, explicit '*'. parse(render(p)) == p while its
+literals fit MAX_DIGITS.
 """
 
 from __future__ import annotations

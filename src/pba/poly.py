@@ -8,8 +8,7 @@ coefficient leaves the class (items, coeff, leading_coefficient,
 evaluate). Display and leads use graded lex with x > y > z.
 
 A product convolves the numerators (product_terms, which also multiplies
-the capped series of `lifting` and forms the per-weight sums of its
-lift) over the product of the denominators.
+the capped series of `lifting`) over the product of the denominators.
 exact_quotient divides by the divisor's primitive part over Z and, by
 Gauss's lemma, stops at the first lead coefficient that does not divide
 (Geddes, Czapor & Labahn, "Algorithms for Computer Algebra", 1992).

@@ -426,11 +426,17 @@ def test_corpus_detects_mismatch(tmp_path):
          "bad corpus entry 'sl2': rational literal "),
         (lambda e: e["expected"].update({"maximal_points": [["0", "1" * (MAX_DIGITS + 1), "0"]]}),
          "bad corpus entry 'sl2': rational literal "),
+        (lambda e: e.update({"name": 1}), "bad corpus entry 1: name: "),
+        (lambda e: e.update({"name": None}), "bad corpus entry None: name: "),
+        (lambda e: e.update({"max_deg": True}), "bad corpus entry 'sl2': max_deg: "),
+        (lambda e: e.update({"max_deg": 2.7}), "bad corpus entry 'sl2': max_deg: "),
+        (lambda e: e.update({"max_deg": "3"}), "bad corpus entry 'sl2': max_deg: "),
     ],
     ids=["row-without-multiplicity", "bad-parameter-key", "zero-multiplicity",
          "string-primitive", "bad-generator", "point-not-a-row", "null-coordinate",
          "non-numeric-coordinate", "zero-denominator", "string-dimension",
-         "exponent-coordinate", "long-coordinate"],
+         "exponent-coordinate", "long-coordinate", "int-name", "null-name",
+         "bool-max-deg", "float-max-deg", "string-max-deg"],
 )
 def test_corpus_malformed_expected_row(tmp_path, edit, message):
     from pba.corpus import bundled_corpus_text
@@ -442,6 +448,17 @@ def test_corpus_malformed_expected_row(tmp_path, edit, message):
     code, out, err = run_cli("corpus", "run", "--file", str(bad))
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}")
+
+
+def test_corpus_int_and_string_names_are_a_usage_error(tmp_path):
+    # names of two types cannot be sorted together; the int one is refused
+    entries = [{"name": 1, "s": "x", "t": "1", "params": ["1:0"], "expected": {}},
+               {"name": "a", "s": "y", "t": "1", "params": ["1:0"], "expected": {}}]
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps(entries))
+    code, out, err = run_cli("corpus", "run", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad corpus entry 1: name: ")
 
 
 @pytest.mark.parametrize("text", ["(x+y+z+1)^100", "(x+y+z+1)^40*(x+y+z+2)^40", "(2^250*x + 1)^999"])

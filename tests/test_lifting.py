@@ -233,6 +233,13 @@ def test_certificate_needs_candidate_point():
         cm_certificate(PolyVec(X, Y, Z), 2, search_box=0)
 
 
+def test_certificate_negative_search_box_is_a_value_error():
+    # refused before any search, also where the origin would do
+    for F in (PolyVec(Poly.one(), Poly.one(), Poly.zero()), PolyVec(X, Y, Z)):
+        with pytest.raises(ValueError, match="search_box must be non-negative"):
+            cm_certificate(F, 2, search_box=-3)
+
+
 def test_certificate_half_integer_points():
     # f*g = (x^3-x)^2 vanishes at every integer in the box, so the
     # search must move to half-integer coordinates
@@ -388,6 +395,42 @@ def test_certificate_at_half_integer_point_matches_fraction_recurrence():
     moved = verify_triple(PolyVec(*(c.translate(cert.point) for c in F)))
     assert_matches_oracle(moved, cert.lift, 6)
     assert verify_certificate(cert, F)
+
+
+@given(
+    st.sampled_from(("origin", "shifted", "cycled")),
+    st.dictionaries(low_monos, small, max_size=4),
+    st.sampled_from((-1, 1)), st.sampled_from((-1, 1)),
+    st.integers(0, 2), units,
+    st.integers(0, 7),
+)
+@settings(max_examples=60, deadline=None)
+def test_certificate_matches_fraction_recurrence_on_lift_families(family, extra, sx, sy, v, c, weight):
+    # s/t, t = 1 + c*v, in three families: linear x and y terms in s keep
+    # the base point at the origin; no linear terms give F(0) = 0, so the
+    # base point moves; s and t free of x give f = 0, so the lift cycles
+    s = Poly({m: q for m, q in extra.items() if sum(m) > 1 and not (family == "cycled" and m[0])})
+    if family == "origin":
+        s += sx * X + sy * Y
+    t = 1 + c * Poly.variable(1 + v % 2 if family == "cycled" else v)
+    try:
+        T = qm_exact_triple(s, t)
+    except ValueError:
+        assume(False)
+    assume(sum(not p.is_zero() for p in T.vec) >= 2)
+    cert = cm_certificate(T, weight)
+    if family == "origin":
+        assert (cert.cycles, cert.point) == (0, (0, 0, 0))
+    elif family == "shifted":
+        assert cert.point != (0, 0, 0)
+    else:
+        assert T.f.is_zero() and cert.cycles == 1
+    G = T
+    for _ in range(cert.cycles):
+        G = cycle_variables(G)
+    moved = verify_triple(PolyVec(*(p.translate(cert.point) for p in G.vec)))
+    assert_matches_oracle(moved, cert.lift, weight)
+    assert verify_certificate(cert, T)
 
 
 def test_lift_kernel_makes_no_fraction(monkeypatch):
