@@ -16,7 +16,7 @@ import functools
 import sys
 
 from .corpus import bundled_corpus_text, load_corpus, run_corpus
-from .lifting import PointSearchError, cm_certificate, verify_certificate
+from .lifting import MAX_WEIGHT, PointSearchError, cm_certificate, verify_certificate
 from .parser import ParseError, parse
 from .poly import Poly, int_text
 from .serialize import dumps, report_payload
@@ -115,6 +115,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_lift(args) -> int:
     if args.weight < 0:
         print("error: --weight must be non-negative", file=sys.stderr)
+        return 2
+    if args.weight > MAX_WEIGHT:
+        print(f"error: --weight must be at most {MAX_WEIGHT}", file=sys.stderr)
         return 2
     if args.search_box < 0:
         print("error: --search-box must be non-negative", file=sys.stderr)

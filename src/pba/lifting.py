@@ -7,7 +7,9 @@ coefficient, by total degree (weight), from
     b * d_x = f,    b * d_y = g,    b * d_z = h.
 
 The free choices d_000 = 0, d_100 = 1 and d_(w+1)00 = 0 make the output
-deterministic and are recorded on the result.
+deterministic. A LiftResult is the two series b and d: its weight (b's
+cap) and these conventions are read from them. Weights above MAX_WEIGHT
+are refused before anything is allocated.
 
 At weight w the equations give b's coefficients of weight w and d's of
 weight w+1. Each coefficient equation is a sum of products of one b and
@@ -43,11 +45,13 @@ from math import gcd, lcm
 from typing import Iterator, Union
 
 from .poly import Monomial, Poly, product_terms
-from .triples import PolyVec, _as_vec, cycle_variables, ensure_verified, verify_triple
+from .triples import PolyVec, cycle_variables, ensure_verified, verify_triple
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _ORIGIN = (0, 0, 0)
+
+MAX_WEIGHT = 100  # the lift's time and memory grow with it; 100 takes seconds
 
 
 class PointSearchError(RuntimeError):
@@ -94,16 +98,22 @@ def truncate(p: Poly, cap: int) -> TruncatedSeries:
 class LiftResult:
     """Series b, capped at weight, and d, capped at weight + 1, with
     b * grad(d) congruent to the lifted triple through total degree
-    `weight`; their coefficients are those of b.poly and d.poly.
+    `weight` (b's cap); their coefficients are those of b.poly and d.poly.
 
-    `conventions` records the free coefficient choices that make the lift
+    `conventions` lists the free coefficient choices that make the lift
     unique: ((i,j,k), value) pairs for d_000, d_100 and each d_(w+1)00.
     """
 
     b: TruncatedSeries
     d: TruncatedSeries
-    weight: int
-    conventions: tuple[tuple[Monomial, Fraction], ...]
+
+    @property
+    def weight(self) -> int:
+        return self.b.cap
+
+    @property
+    def conventions(self) -> tuple[tuple[Monomial, Fraction], ...]:
+        return ((_ORIGIN, _ZERO), ((1, 0, 0), _ONE), *(((w + 1, 0, 0), _ZERO) for w in range(1, self.weight + 1)))
 
 
 @dataclass(frozen=True)
@@ -114,10 +124,6 @@ class CmCertificate:
     point: tuple[Fraction, Fraction, Fraction]
     cycles: int
     lift: LiftResult
-
-
-def _conventions(weight: int) -> tuple[tuple[Monomial, Fraction], ...]:
-    return ((_ORIGIN, _ZERO), ((1, 0, 0), _ONE), *(((w + 1, 0, 0), _ZERO) for w in range(1, weight + 1)))
 
 
 def _ratio(n: int, d: int) -> tuple[int, int]:
@@ -142,12 +148,18 @@ def _from_slices(slices) -> Poly:
     return Poly._make({(i, j, k): n * (den // sd) for terms, sd in slices for _, i, j, k, n in terms}, den)
 
 
-def lift_at_origin(F, weight: int) -> LiftResult:
-    """Solve b*d_x = f, b*d_y = g, b*d_z = h coefficientwise through the
-    given weight. Requires a verified triple with f(0) != 0 and g(0) != 0."""
-    T = ensure_verified(F)
+def _check_weight(weight: int) -> None:
     if weight < 0:
         raise ValueError("weight must be non-negative")
+    if weight > MAX_WEIGHT:
+        raise ValueError(f"weight must be at most {MAX_WEIGHT}")
+
+
+def lift_at_origin(F, weight: int) -> LiftResult:
+    """Solve b*d_x = f, b*d_y = g, b*d_z = h coefficientwise through the
+    given weight. Requires a Poisson triple with f(0) != 0 and g(0) != 0."""
+    _check_weight(weight)
+    T = ensure_verified(F)
     fn, gn, hn = T.f._num, T.g._num, T.h._num
     fden, gden, hden = T.f._den, T.g._den, T.h._den
     if not fn.get(_ORIGIN) or not gn.get(_ORIGIN):
@@ -215,19 +227,14 @@ def lift_at_origin(F, weight: int) -> LiftResult:
         bw.append(_slice(b, w, S))
         dw.append(_slice(d, w + 1, S))
 
-    return LiftResult(
-        b=TruncatedSeries(_from_slices(bw), weight),
-        d=TruncatedSeries(_from_slices(dw), weight + 1),
-        weight=weight,
-        conventions=_conventions(weight),
-    )
+    return LiftResult(TruncatedSeries(_from_slices(bw), weight), TruncatedSeries(_from_slices(dw), weight + 1))
 
 
 def verify_lift(result: LiftResult, F) -> bool:
     """Does b * grad(d) agree with F in every coefficient of total degree
     <= weight? This is the congruence the lift promises."""
     b, d, w = result.b, result.d, result.weight
-    return all(b * d.derivative(v) == truncate(c, w) for v, c in enumerate(_as_vec(F)))
+    return all(b * d.derivative(v) == truncate(c, w) for v, c in enumerate(F))
 
 
 def _base_points(box: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
@@ -251,22 +258,18 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
     f and g slots, a base point with f*g != 0 is searched inside
     [-search_box, search_box]^3, and the translated triple is lifted.
     """
+    _check_weight(weight)
     G = ensure_verified(F)
     if search_box < 0:
         raise ValueError("search_box must be non-negative")
-    nonzero = [not c.is_zero() for c in G.vec]
+    nonzero = [not c.is_zero() for c in G]
     # c cycles move components c and c + 1 (mod 3) into the f and g slots
     pairs = [c for c in range(3) if nonzero[c] and nonzero[(c + 1) % 3]]
     cycles = (pairs or [c for c in range(3) if nonzero[c]] or [0])[0]
     for _ in range(cycles):
         G = cycle_variables(G)
     if sum(nonzero) <= 1:
-        lift = LiftResult(
-            b=truncate(G.f, weight),
-            d=TruncatedSeries(Poly.variable(0), weight + 1),
-            weight=weight,
-            conventions=_conventions(weight),
-        )
+        lift = LiftResult(truncate(G.f, weight), TruncatedSeries(Poly.variable(0), weight + 1))
         return CmCertificate(point=(_ZERO, _ZERO, _ZERO), cycles=cycles, lift=lift)
 
     for p in _base_points(search_box):
@@ -278,7 +281,7 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
             f"no point with f*g != 0 found in [-{search_box}, {search_box}]^3"
         )
 
-    moved = verify_triple(PolyVec(*(c.translate(point) for c in G.vec)))
+    moved = verify_triple(PolyVec(*(c.translate(point) for c in G)))
     lift = lift_at_origin(moved, weight)
     return CmCertificate(point=point, cycles=cycles, lift=lift)
 
@@ -288,5 +291,5 @@ def verify_certificate(cert: CmCertificate, F) -> bool:
     G = ensure_verified(F)
     for _ in range(cert.cycles):
         G = cycle_variables(G)
-    moved = PolyVec(*(c.translate(cert.point) for c in G.vec))
+    moved = PolyVec(*(c.translate(cert.point) for c in G))
     return verify_lift(cert.lift, moved)

@@ -7,13 +7,14 @@ zeros of s, t and singular points of pencil members); and height-one
 primes generated by irreducible factors of lambda*s - mu*t, Poisson
 primitive exactly when of multiplicity one in the member. spectrum_report
 bundles them, sampling the pencil at user-supplied parameters since the
-projective family cannot be listed.
+projective family cannot be listed. primitive, principal and a report's
+flags are read from the fields that determine them.
 
 Validation happens once per call: each public entry that needs the
 bracket builds qm_exact_triple(s, t), which rejects a zero or non-coprime
-pair (triples.require_coprime) and checks Jacobi, and the private helpers
-check nothing again. classify_point, which needs no bracket, runs
-require_coprime alone.
+pair (triples.require_coprime) and returns a PoissonTriple, and the
+private helpers, which take one, check nothing again. classify_point,
+which needs no bracket, runs require_coprime alone.
 """
 
 from __future__ import annotations
@@ -92,8 +93,11 @@ class HeightOnePrime:
 
     generator: Poly
     multiplicity: int
-    primitive: bool
     absolutely_irreducible_certified: bool
+
+    @property
+    def primitive(self) -> bool:
+        return self.multiplicity == 1
 
 
 @dataclass(frozen=True)
@@ -118,13 +122,17 @@ class ReportFlags:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """The classified strata: zero ideal, residually null primes, and
-    height-one primes per sampled pencil parameter."""
+    """The classified strata: zero ideal (always Poisson prime), residually
+    null primes, and height-one primes per sampled pencil parameter."""
 
-    zero_ideal: bool
+    zero_ideal = True
     residually_null: ResiduallyNullStratum
     height_one: dict[PencilParameter, tuple[HeightOnePrime, ...]]
-    flags: ReportFlags
+    factorization_complete: bool
+
+    @property
+    def flags(self) -> ReportFlags:
+        return ReportFlags(self.factorization_complete, self.residually_null.dimension <= 0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,10 @@ class PoissonCore:
 
     point: Point
     generators: tuple[Poly, ...]
-    principal: bool
+
+    @property
+    def principal(self) -> bool:
+        return len(self.generators) == 1
 
 
 def _as_point(p: Sequence[ScalarLike]) -> Point:
@@ -204,14 +215,7 @@ def _height_one(s: Poly, t: Poly, F: PoissonTriple, param: PencilParameter, max_
     primes = []
     for part in factored.parts:
         assert generates_poisson_ideal(F, part.factor)
-        primes.append(
-            HeightOnePrime(
-                generator=part.factor,
-                multiplicity=part.multiplicity,
-                primitive=part.multiplicity == 1,
-                absolutely_irreducible_certified=part.absolutely_irreducible_certified,
-            )
-        )
+        primes.append(HeightOnePrime(part.factor, part.multiplicity, part.absolutely_irreducible_certified))
     return tuple(primes), factored.complete
 
 
@@ -231,7 +235,7 @@ def poisson_core_of_point(s: Poly, t: Poly, p: Sequence[ScalarLike], max_deg: in
     point = cls.point
     if cls.kind is not PointKind.NOT_POISSON:
         gens = tuple(Poly.variable(v) - Poly.constant(point[v]) for v in range(3))
-        return PoissonCore(point, gens, principal=False)
+        return PoissonCore(point, gens)
     param = PencilParameter(t.evaluate(point), s.evaluate(point))
     member = pencil_member(s, t, param)
     factored = factor_bounded(member, max_deg)
@@ -242,7 +246,7 @@ def poisson_core_of_point(s: Poly, t: Poly, p: Sequence[ScalarLike], max_deg: in
     through = [part for part in factored.parts if not part.factor.evaluate(point)]
     # a repeated or shared zero would make p singular, contradicting the class
     assert len(through) == 1 and through[0].multiplicity == 1
-    return PoissonCore(point, (through[0].factor,), principal=True)
+    return PoissonCore(point, (through[0].factor,))
 
 
 def is_poisson_simple_quotient(
@@ -279,13 +283,4 @@ def spectrum_report(
         primes, member_complete = _height_one(s, t, F, param, max_deg)
         height_one[param] = primes
         complete = complete and member_complete
-    flags = ReportFlags(
-        factorization_complete=complete,
-        finitely_many_poisson_maximal=stratum.dimension <= 0,
-    )
-    return SpectrumReport(
-        zero_ideal=True,
-        residually_null=stratum,
-        height_one=height_one,
-        flags=flags,
-    )
+    return SpectrumReport(stratum, height_one, complete)

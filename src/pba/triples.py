@@ -5,6 +5,9 @@ F = (f, g, h) = ({y,z}, {z,x}, {x,y}); the bracket of two elements is the
 determinant with rows F, grad(b), grad(c). The triple defines a Poisson
 (i.e. Jacobi-satisfying) bracket exactly when dot(F, curl F) = 0, and that
 polynomial is returned as the witness when the check fails.
+
+A PoissonTriple is a PolyVec that passed this check: only verify_triple,
+the three constructors below and cycle_variables make one.
 """
 
 from __future__ import annotations
@@ -88,41 +91,13 @@ def jacobian_det(a: Poly, b: Poly, c: Poly) -> Poly:
     return dot(grad(a), cross(grad(b), grad(c)))
 
 
-@dataclass(frozen=True)
-class PoissonTriple:
-    """Bracket data (f, g, h); `verified` records a passed Jacobi check.
-
-    Unverified instances may be built from raw components; classification
-    entry points re-run the check when the flag is absent.
-    """
-
-    vec: PolyVec
-    verified: bool = False
-
-    @property
-    def f(self) -> Poly:
-        return self.vec.f
-
-    @property
-    def g(self) -> Poly:
-        return self.vec.g
-
-    @property
-    def h(self) -> Poly:
-        return self.vec.h
-
-    def __iter__(self) -> Iterator[Poly]:
-        return iter(self.vec)
-
-
-def _as_vec(F) -> PolyVec:
-    return F.vec if isinstance(F, PoissonTriple) else F
+class PoissonTriple(PolyVec):
+    """Bracket data (f, g, h) that satisfies the Jacobi identity."""
 
 
 def jacobi_witness(F) -> Poly:
     """dot(F, curl F); zero exactly for Poisson triples."""
-    v = _as_vec(F)
-    return dot(v, curl(v))
+    return dot(F, curl(F))
 
 
 def is_poisson_triple(F) -> bool:
@@ -134,24 +109,22 @@ def verify_triple(vec: PolyVec) -> PoissonTriple:
     w = jacobi_witness(vec)
     if not w.is_zero():
         raise NotPoissonError(w)
-    return PoissonTriple(vec, verified=True)
+    return PoissonTriple(*vec)
 
 
-def ensure_verified(F) -> PoissonTriple:
-    """Coerce a triple or raw vector to a verified PoissonTriple."""
-    if isinstance(F, PoissonTriple) and F.verified:
-        return F
-    return verify_triple(_as_vec(F))
+def ensure_verified(F: PolyVec) -> PoissonTriple:
+    """F itself if it is a PoissonTriple, else verify_triple(F)."""
+    return F if isinstance(F, PoissonTriple) else verify_triple(F)
 
 
 def bracket(F, b: Poly, c: Poly) -> Poly:
     """{b, c} under F: the determinant with rows F, grad(b), grad(c)."""
-    return dot(_as_vec(F), cross(grad(b), grad(c)))
+    return dot(F, cross(grad(b), grad(c)))
 
 
 def hamiltonian(F, b: Poly) -> PolyVec:
     """({b,x}, {b,y}, {b,z}) as a vector of polynomials."""
-    return cross(_as_vec(F), grad(b))
+    return cross(F, grad(b))
 
 
 def jacobiator(F, a: Poly, b: Poly, c: Poly) -> Poly:
@@ -168,14 +141,14 @@ def jacobiator(F, a: Poly, b: Poly, c: Poly) -> Poly:
 
 def exact_triple(a: Poly) -> PoissonTriple:
     """The bracket with components grad(a); a is Poisson-central for it."""
-    return PoissonTriple(grad(a), verified=True)
+    return PoissonTriple(*grad(a))
 
 
 def m_exact_triple(b: Poly, a: Poly) -> PoissonTriple:
     """Multiple of an exact triple: components b * grad(a)."""
     vec = grad(a).scale(b)
     assert is_poisson_triple(vec)
-    return PoissonTriple(vec, verified=True)
+    return PoissonTriple(*vec)
 
 
 def require_coprime(s: Poly, t: Poly) -> None:
@@ -198,7 +171,7 @@ def qm_exact_triple(s: Poly, t: Poly) -> PoissonTriple:
     require_coprime(s, t)
     vec = grad(s).scale(t) - grad(t).scale(s)
     assert is_poisson_triple(vec)
-    return PoissonTriple(vec, verified=True)
+    return PoissonTriple(*vec)
 
 
 # -- structure tests -------------------------------------------------
@@ -207,10 +180,9 @@ def qm_exact_triple(s: Poly, t: Poly) -> PoissonTriple:
 def compatible(F, G) -> bool:
     """True iff every pencil member lambda*F + mu*G is Poisson: both are
     Poisson and the mixed term dot(F, curl G) + dot(G, curl F) vanishes."""
-    vf, vg = _as_vec(F), _as_vec(G)
-    if not (is_poisson_triple(vf) and is_poisson_triple(vg)):
+    if not (is_poisson_triple(F) and is_poisson_triple(G)):
         return False
-    mixed = dot(vf, curl(vg)) + dot(vg, curl(vf))
+    mixed = dot(F, curl(G)) + dot(G, curl(F))
     return mixed.is_zero()
 
 
@@ -236,20 +208,15 @@ def generates_poisson_ideal(F, p: Poly) -> bool:
     return all(divides(p, comp) for comp in hamiltonian(F, p))
 
 
-def cycle_variables(F: PoissonTriple) -> PoissonTriple:
+def cycle_variables(F: PolyVec) -> PolyVec:
     """Transport along the algebra automorphism x -> y -> z -> x.
 
     Components move as (f, g, h) -> (g', h', f') where ' substitutes via
-    the inverse permutation (x -> z, y -> x, z -> y). Poisson triples map
-    to Poisson triples; three applications give back the original.
+    the inverse permutation (x -> z, y -> x, z -> y). The result has F's
+    type: Poisson triples map to Poisson triples. Three applications give
+    back the original.
     """
     # inverse substitution on exponents: x^i y^j z^k -> z^i x^j y^k
     perm = (1, 2, 0)
-    f, g, h = _as_vec(F)
-    vec = PolyVec(
-        g.substitute_exponents(perm),
-        h.substitute_exponents(perm),
-        f.substitute_exponents(perm),
-    )
-    verified = F.verified if isinstance(F, PoissonTriple) else False
-    return PoissonTriple(vec, verified=verified)
+    f, g, h = F
+    return type(F)(g.substitute_exponents(perm), h.substitute_exponents(perm), f.substitute_exponents(perm))

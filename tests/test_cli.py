@@ -11,6 +11,7 @@ import pytest
 
 from pba import cli
 from pba.cli import main
+from pba.lifting import MAX_WEIGHT
 from pba.parser import MAX_DIGITS
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -360,6 +361,14 @@ def test_lift_negative_weight_usage_error():
     )
     assert code == 2
     assert err == "error: --search-box must be non-negative\n"
+
+
+def test_lift_weight_above_the_bound_usage_error():
+    weight = str(MAX_WEIGHT + 1)
+    code, out, err = run_cli("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", weight)
+    assert (code, out, err) == (2, "", f"error: --weight must be at most {MAX_WEIGHT}\n")
+    code, out, err = run_cli("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "-2")
+    assert (code, out, err) == (2, "", "error: --weight must be non-negative\n")
 
 
 def test_lift_non_poisson():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import pba.lifting
 from pba.lifting import (
+    MAX_WEIGHT,
     CmCertificate,
     LiftResult,
     PointSearchError,
@@ -164,6 +165,32 @@ def test_lift_conventions():
     assert verify_lift(result, F)
 
 
+def test_lift_result_reads_weight_and_conventions_from_b():
+    for cap in (0, 3):
+        result = LiftResult(truncate(1 + X, cap), truncate(X + Y, cap + 1))
+        assert result.weight == cap
+        assert result.conventions == (
+            ((0, 0, 0), 0),
+            ((1, 0, 0), 1),
+            *(((w + 1, 0, 0), 0) for w in range(1, cap + 1)),
+        )
+
+
+def test_weight_out_of_range_is_a_value_error():
+    # refused before any work, on the immediate path as on the lifted one
+    lifted = verify_triple(PolyVec(1 + X, 1 + Y, Poly.zero()))
+    immediate = PolyVec(Poly.one(), Poly.zero(), Poly.zero())
+    for F in (lifted, immediate):
+        with pytest.raises(ValueError, match=f"weight must be at most {MAX_WEIGHT}$"):
+            cm_certificate(F, MAX_WEIGHT + 1)
+        with pytest.raises(ValueError, match="weight must be non-negative"):
+            cm_certificate(F, -1)
+    with pytest.raises(ValueError, match=f"weight must be at most {MAX_WEIGHT}$"):
+        lift_at_origin(lifted, MAX_WEIGHT + 1)
+    with pytest.raises(ValueError, match="weight must be non-negative"):
+        lift_at_origin(lifted, -1)
+
+
 def monomials(cap: int):
     return [(i, j, n - i - j) for n in range(cap + 1) for i in range(n + 1) for j in range(n - i + 1)]
 
@@ -186,9 +213,9 @@ def test_verify_lift_detects_tampering():
             result = lift_at_origin(F, w)
             assert verify_lift(result, F)
             for b in tampered(result.b):
-                assert not verify_lift(LiftResult(b, result.d, w, result.conventions), F)
+                assert not verify_lift(LiftResult(b, result.d), F)
             for d in tampered(result.d, skip={(0, 0, 0)}):
-                assert not verify_lift(LiftResult(result.b, d, w, result.conventions), F)
+                assert not verify_lift(LiftResult(result.b, d), F)
 
 
 def test_lift_congruence_holds_for_scaled_gradient():
@@ -264,7 +291,7 @@ def fraction_lift(T, weight: int) -> tuple[dict, dict]:
     """The lift recurrence summed term by term in Fraction: the reference
     the integer kernel of lift_at_origin must agree with."""
     zero, one = Fraction(0), Fraction(1)
-    fc, gc, hc = (dict(c.items()) for c in T.vec)
+    fc, gc, hc = (dict(c.items()) for c in T)
     f0 = fc[(0, 0, 0)]
     b = {(0, 0, 0): f0}
     d = {
@@ -417,7 +444,7 @@ def test_certificate_matches_fraction_recurrence_on_lift_families(family, extra,
         T = qm_exact_triple(s, t)
     except ValueError:
         assume(False)
-    assume(sum(not p.is_zero() for p in T.vec) >= 2)
+    assume(sum(not p.is_zero() for p in T) >= 2)
     cert = cm_certificate(T, weight)
     if family == "origin":
         assert (cert.cycles, cert.point) == (0, (0, 0, 0))
@@ -428,7 +455,7 @@ def test_certificate_matches_fraction_recurrence_on_lift_families(family, extra,
     G = T
     for _ in range(cert.cycles):
         G = cycle_variables(G)
-    moved = verify_triple(PolyVec(*(p.translate(cert.point) for p in G.vec)))
+    moved = verify_triple(PolyVec(*(p.translate(cert.point) for p in G)))
     assert_matches_oracle(moved, cert.lift, weight)
     assert verify_certificate(cert, T)
 

@@ -6,13 +6,17 @@ from fractions import Fraction
 import pytest
 
 from pba import poly, triples
-from pba.groebner import dimension, ideal_member
+from pba.groebner import buchberger, dimension, ideal_member
 from pba.parser import parse
 from pba.poly import Poly, X, Y, Z
 from pba.spectrum import (
+    HeightOnePrime,
     NotCoprimeError,
     PencilParameter,
+    PoissonCore,
     PointKind,
+    ResiduallyNullStratum,
+    SpectrumReport,
     classify_point,
     height_one_primes,
     is_poisson_simple_quotient,
@@ -152,6 +156,22 @@ def test_height_one_multiplicity():
     assert not by_gen["x"].primitive
     assert by_gen["y"].multiplicity == 1
     assert by_gen["y"].primitive
+
+
+def test_result_flags_follow_their_sources():
+    assert HeightOnePrime(X, 1, True).primitive
+    assert not HeightOnePrime(X, 2, True).primitive
+    origin = (Fraction(0),) * 3
+    assert PoissonCore(origin, (X,)).principal
+    assert not PoissonCore(origin, (X, Y, Z)).principal
+    for gens, finite in (([Poly.one()], True), ([X, Y, Z], True), ([X, Y], False)):
+        G = buchberger(gens)
+        stratum = ResiduallyNullStratum(G, dimension(G), (), (), True)
+        for complete in (True, False):
+            report = SpectrumReport(stratum, {}, complete)
+            assert report.zero_ideal
+            assert report.flags.factorization_complete == complete
+            assert report.flags.finitely_many_poisson_maximal == finite
 
 
 def test_height_one_rejects_constant_member():

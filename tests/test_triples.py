@@ -17,6 +17,7 @@ from pba.triples import (
     curl,
     cycle_variables,
     dot,
+    ensure_verified,
     exact_triple,
     generates_poisson_ideal,
     grad,
@@ -86,7 +87,7 @@ def test_is_poisson_triple():
 def test_verify_triple():
     T = verify_triple(ROT)
     assert isinstance(T, PoissonTriple)
-    assert T.verified
+    assert is_poisson_triple(T)
     with pytest.raises(NotPoissonError) as info:
         verify_triple(PolyVec(Y, Z, X))
     assert str(info.value.witness) == "-x - y - z"
@@ -219,6 +220,28 @@ def test_cycle_variables():
     # three cycles restore the original
     H = cycle_variables(cycle_variables(G))
     assert (H.f, H.g, H.h) == (F.f, F.g, F.h)
+
+
+def test_cycle_variables_keeps_the_type():
+    # a plain vector stays a plain vector; a Poisson triple stays one
+    v = PolyVec(X, Poly.zero(), Poly.zero())
+    assert type(cycle_variables(v)) is PolyVec
+    assert cycle_variables(v) == PolyVec(Poly.zero(), Poly.zero(), Z)
+    T = qm_exact_triple(X, Y + 1)
+    C = cycle_variables(T)
+    assert type(C) is PoissonTriple
+    assert is_poisson_triple(C)
+
+
+def test_ensure_verified():
+    T = verify_triple(ROT)
+    assert ensure_verified(T) is T
+    V = ensure_verified(ROT)
+    assert type(V) is PoissonTriple
+    assert (V.f, V.g, V.h) == (X, Y, Z)
+    with pytest.raises(NotPoissonError) as info:
+        ensure_verified(PolyVec(Y, Z, X))
+    assert str(info.value.witness) == "-x - y - z"
 
 
 @given(vecs)
