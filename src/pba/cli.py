@@ -40,9 +40,17 @@ def _triple(args) -> PolyVec:
     )
 
 
+def _refused(exc: ValueError) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
+
+
 def _cmd_check_jacobi(args) -> int:
     vec = _triple(args)
-    witness = jacobi_witness(vec)
+    try:
+        witness = jacobi_witness(vec)
+    except ValueError as exc:
+        return _refused(exc)
     if witness.is_zero():
         print("Poisson: the Jacobi identity holds")
         return 0
@@ -54,7 +62,11 @@ def _cmd_bracket(args) -> int:
     vec = _triple(args)
     lhs = _parse_or_exit(args.lhs, "--lhs")
     rhs = _parse_or_exit(args.rhs, "--rhs")
-    print(bracket_op(vec, lhs, rhs))
+    try:
+        value = bracket_op(vec, lhs, rhs)
+    except ValueError as exc:
+        return _refused(exc)
+    print(value)
     return 0
 
 
@@ -86,8 +98,7 @@ def _cmd_spectrum(args) -> int:
     try:
         report = spectrum_report(s, t, params, args.max_deg)
     except ValueError as exc:  # NotCoprimeError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refused(exc)
     payload = report_payload(s, t, args.max_deg, report)
     if args.json:
         sys.stdout.write(dumps(payload))
@@ -127,6 +138,8 @@ def _cmd_lift(args) -> int:
     except NotPoissonError as exc:
         print(f"not Poisson: dot(F, curl F) = {exc.witness}")
         return 1
+    except ValueError as exc:
+        return _refused(exc)
     try:
         cert = cm_certificate(T, args.weight, args.search_box)
     except PointSearchError as exc:
@@ -159,8 +172,7 @@ def _cmd_corpus(args) -> int:
     try:
         results = run_corpus(load_corpus(text))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _refused(exc)
     if args.json:
         payload = [
             {"name": r.name, "passed": r.passed, "diffs": list(r.diffs)} for r in results

@@ -22,10 +22,17 @@ neither the rational factors nor the proper-ideal flag change. Newt(q)
 lies within its min/max slabs along the primitive directions in
 {-2..2}^3, computed once per q.
 
-Certification happens only in _factor_squarefree, from the flag that
-_ansatz_search returns: a part left whole is certified when no degree
-searched met a proper ideal, and a factor split off by running the same
-search on it alone.
+Before any search, a member and then each part and cofactor is tested
+for being linear in one variable: q = a*v + b, with a and b free of v and
+gcd(a, b) constant. Such a q has no proper factor over any field: a factor
+free of v would divide both a and b, and a factor of v-degree 1 leaves a
+cofactor free of v. It is then left whole with the result the search
+would give, whose systems are all the unit ideal, so the Newton slabs are
+computed only for parts that reach the search.
+
+Otherwise certification comes from the flag that _ansatz_search returns: a
+part left whole is certified when no degree searched met a proper ideal,
+and a factor split off by running the same search on it alone.
 """
 
 from __future__ import annotations
@@ -33,10 +40,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import gcd as igcd
 
 from . import _engine
-from .poly import Monomial, Poly, exact_quotient, grlex_key, squarefree_decomposition
+from .poly import Monomial, Poly, exact_quotient, gcd, grlex_key, squarefree_decomposition
 
 
 @dataclass(frozen=True)
@@ -67,7 +74,7 @@ def _monomials_upto(d: int) -> list[Monomial]:
 
 # primitive directions in {-2..2}^3, one of each +/- pair
 _DIRECTIONS = [w for w in product(range(-2, 3), repeat=3)
-               if w > (0, 0, 0) and gcd(*w) == 1]
+               if w > (0, 0, 0) and igcd(*w) == 1]
 
 
 def _newton_slabs(q: Poly) -> list[tuple[Monomial, int, int]]:
@@ -127,12 +134,31 @@ def _ansatz_search(q: Poly, d: int, slabs: list[tuple[Monomial, int, int]]) -> t
     return None, proper_seen
 
 
+def _linear_irreducible(q: Poly) -> bool:
+    """True when q = a*v + b for a variable v, with a and b free of v and
+    gcd(a, b) constant: then q has no proper factor over any field."""
+    for vi in q.variables():
+        if all(m[vi] < 2 for m in q._num):
+            a = Poly._make({m[:vi] + (0,) + m[vi + 1:]: n for m, n in q._num.items() if m[vi]})
+            if a.is_constant() or gcd(a, Poly._make({m: n for m, n in q._num.items() if not m[vi]})).is_constant():
+                return True
+    return False
+
+
+def _whole(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
+    """What _factor_squarefree returns for an absolutely irreducible q,
+    whose ansatz systems are all the unit ideal."""
+    deg = q.total_degree()
+    done = deg == 1 or bound >= (deg + 1) // 2
+    return [(q, done)], done
+
+
 def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
     """Split monic squarefree q into irreducibles over Q within the degree
     bound; returns (factors with absolute-irreducibility flags, complete)."""
     deg = q.total_degree()
-    if deg == 1:
-        return [(q, True)], True
+    if deg == 1 or _linear_irreducible(q):
+        return _whole(q, bound)
     seen_proper = False
     slabs = _newton_slabs(q)
     for d in range(1, min(bound, deg // 2) + 1):
@@ -168,11 +194,11 @@ def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
         for vi, a in enumerate(mins):
             if a:
                 parts.append(FactorPart(Poly.variable(vi), a, True))
-    unit, squarefree = squarefree_decomposition(shifted)
-    complete = True
-    for sq in squarefree:
-        pieces, piece_complete = _factor_squarefree(sq.factor, max_total_degree)
-        complete = complete and piece_complete
-        for fac, certified in pieces:
-            parts.append(FactorPart(fac, sq.multiplicity, certified))
-    return Factorization(unit, tuple(parts), complete)
+    if _linear_irreducible(shifted):  # irreducible, so squarefree
+        unit = shifted.leading_coefficient()
+        split = [(1, *_whole(shifted.monic(), max_total_degree))]
+    else:
+        unit, squarefree = squarefree_decomposition(shifted)
+        split = [(sq.multiplicity, *_factor_squarefree(sq.factor, max_total_degree)) for sq in squarefree]
+    parts += [FactorPart(fac, mult, certified) for mult, pieces, _ in split for fac, certified in pieces]
+    return Factorization(unit, tuple(parts), all(complete for _, _, complete in split))

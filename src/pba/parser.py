@@ -15,17 +15,19 @@ Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside the interpreter's recursion limit; no product or
 power may multiply more than MAX_TERM_PAIRS term pairs, make
 coefficients that could pass MAX_COEFF_BITS bits, or have term pairs
-times coefficient bits past MAX_PAIR_BITS, nor any integer literal have
-more than MAX_DIGITS digits.
+times coefficient bits past MAX_PAIR_BITS (product_error, which bounds
+the products other modules form too), nor any integer literal have
+more than MAX_LITERAL_DIGITS digits, those of 2^MAX_COEFF_BITS. Literals
+longer than int() takes are converted by pieces, as int_text prints them.
 render() is the canonical inverse: graded-lex descending term order,
 reduced coefficients, explicit '*'. parse(render(p)) == p while its
-literals fit MAX_DIGITS.
+literals fit MAX_LITERAL_DIGITS.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, log2
+from math import comb, log2, log10
 
 from .poly import Poly
 
@@ -47,9 +49,13 @@ class ParseError(ValueError):
 MAX_NESTING = 100
 # term pairs of one product, or of one power over all its steps
 MAX_TERM_PAIRS = 10**6
+# characters of a rational_literal
 MAX_DIGITS = 4300
 # bits of the numerators and denominator a product or power may make
 MAX_COEFF_BITS = 2**18
+# digits of an integer literal: those of 2^MAX_COEFF_BITS, which holds the
+# numerators a product or power may make
+MAX_LITERAL_DIGITS = int(MAX_COEFF_BITS * log10(2)) + 1
 # term pairs times coefficient bits, which the cost of the arithmetic grows
 # with: (2^250*x + 1)^999 holds each bound above but not this one
 MAX_PAIR_BITS = 2**33
@@ -85,6 +91,33 @@ def _coeff_bits(p: Poly) -> float:
     return log2(max(map(abs, p._num.values()))) + log2(p._den) if p else 0.0
 
 
+def bound_error(pairs: int, bits: float = 0.0) -> str:
+    """Which bound pairs term pairs with coefficients of bits bits pass,
+    or ''."""
+    if pairs > MAX_TERM_PAIRS:
+        return f"expansion past {MAX_TERM_PAIRS} term pairs"
+    if bits > MAX_COEFF_BITS:
+        return f"coefficient past {MAX_COEFF_BITS} bits"
+    if pairs * bits > MAX_PAIR_BITS:
+        return f"term pairs times coefficient bits past {MAX_PAIR_BITS}"
+    return ""
+
+
+def product_error(p: Poly, q: Poly) -> str:
+    """bound_error of the product p*q, checked before it is formed."""
+    if not (p and q):
+        return ""
+    return bound_error(len(p) * len(q), _coeff_bits(p) + _coeff_bits(q) + log2(min(len(p), len(q))))
+
+
+def _literal_int(text: str) -> int:
+    """int(text) past the digit limit of int, by splitting as int_text does."""
+    if len(text) < 640:  # within the limit of int() at its lowest setting
+        return int(text)
+    k = len(text) // 2
+    return _literal_int(text[:-k]) * 10**k + _literal_int(text[-k:])
+
+
 _NUM = "NUM"
 _VAR = "VAR"
 _EOF = "EOF"
@@ -103,8 +136,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            if j - i > MAX_DIGITS:
-                raise ParseError(i, (), "", f"integer literal longer than {MAX_DIGITS} digits")
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(i, (), "", f"integer literal longer than {MAX_LITERAL_DIGITS} digits")
             tokens.append((_NUM, text[i:j], i))
             i = j
             continue
@@ -140,13 +173,9 @@ class _Parser:
         found = "end of input" if kind == _EOF else repr(value)
         raise ParseError(offset, expected, found, note)
 
-    def bound(self, offset: int, pairs: int, bits: float = 0.0) -> None:
-        if pairs > MAX_TERM_PAIRS:
-            raise ParseError(offset, (), "", f"expansion past {MAX_TERM_PAIRS} term pairs")
-        if bits > MAX_COEFF_BITS:
-            raise ParseError(offset, (), "", f"coefficient past {MAX_COEFF_BITS} bits")
-        if pairs * bits > MAX_PAIR_BITS:
-            raise ParseError(offset, (), "", f"term pairs times coefficient bits past {MAX_PAIR_BITS}")
+    def refuse(self, offset: int, note: str) -> None:
+        if note:
+            raise ParseError(offset, (), "", note)
 
     def expr(self) -> Poly:
         kind, _, _ = self.peek()
@@ -173,9 +202,7 @@ class _Parser:
             if kind == "*":
                 self.take()
                 right = self.factor(len(total))
-                if total and right:
-                    bits = _coeff_bits(total) + _coeff_bits(right) + log2(min(len(total), len(right)))
-                    self.bound(offset, len(total) * len(right), bits)
+                self.refuse(offset, product_error(total, right))
                 total = total * right
             elif kind == "/":
                 raise ParseError(offset, ("'+'", "'-'", "'*'"), "'/'",
@@ -188,7 +215,7 @@ class _Parser:
         base = self.base()
         kind, _, offset = self.peek()
         if kind != "^":
-            self.bound(offset, left * len(base))
+            self.refuse(offset, bound_error(left * len(base)))
             return base
         self.take()
         kind, value, offset = self.peek()
@@ -197,12 +224,12 @@ class _Parser:
         if kind != _NUM:
             self.fail(("unsigned integer exponent",))
         self.take()
-        e = int(value)
+        e = _literal_int(value)
         pairs, terms = _power_cost(base, e) if len(base) > 1 else (0, len(base))
         # step is 0 or at least 1, so capping e keeps e * step past the
         # bound exactly when it was, and e of any size out of the float
         step = _coeff_bits(base) + log2(len(base)) if base else 0.0
-        self.bound(offset, max(pairs, left * terms), step * min(e, MAX_COEFF_BITS + 1))
+        self.refuse(offset, bound_error(max(pairs, left * terms), step * min(e, MAX_COEFF_BITS + 1)))
         return base**e
 
     def base(self) -> Poly:
@@ -212,7 +239,7 @@ class _Parser:
             return Poly.variable(value)
         if kind == _NUM:
             self.take()
-            num = int(value)
+            num = _literal_int(value)
             kind, value, offset = self.peek()
             if kind == "/":
                 self.take()
@@ -220,7 +247,7 @@ class _Parser:
                 if kind != _NUM:
                     self.fail(("unsigned integer denominator",))
                 self.take()
-                den = int(value)
+                den = _literal_int(value)
                 if den == 0:
                     raise ParseError(offset, ("nonzero denominator",), value, "zero denominator")
                 return Poly.constant(Fraction(num, den))

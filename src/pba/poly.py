@@ -353,7 +353,18 @@ def _content(num: Terms) -> int:
 
 
 def _divide(a: Terms, b: Terms) -> Union[Terms, None]:
-    """Exact quotient over Z of integer term maps, or None."""
+    """Exact quotient over Z of integer term maps, or None. A constant
+    divisor divides term by term; any other takes the leading remainder
+    term from a heap."""
+    if len(b) == 1 and _ORIGIN_MONO in b:
+        c = b[_ORIGIN_MONO]
+        quot = {}
+        for m, n in a.items():
+            q, r = divmod(n, c)
+            if r:
+                return None
+            quot[m] = q
+        return quot
     blm = max(b, key=grlex_key)
     blc = b[blm]
     tail = [(m, c) for m, c in b.items() if m != blm]

@@ -3,8 +3,9 @@
 report_payload is the one rendering of a report, read by the JSON, the
 text of pba spectrum and the corpus. Documents carry "schema": "pba/1".
 Polynomials are canonical render strings and rationals exact strings
-like "9/2", so a document parses back through the expression grammar
-without loss while its numbers fit parser.MAX_DIGITS. dumps() fixes key
+like "9/2", so a document parses back without loss while the integers in
+its polynomials fit parser.MAX_LITERAL_DIGITS and its rationals
+parser.MAX_DIGITS characters. dumps() fixes key
 order and indentation and prints ints in full at any size, making
 load-then-dump byte-identical for every document json.loads reads.
 """

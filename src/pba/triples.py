@@ -8,6 +8,9 @@ polynomial is returned as the witness when the check fails.
 
 A PoissonTriple is a PolyVec that passed this check: only verify_triple,
 the three constructors below and cycle_variables make one.
+
+jacobi_witness and bracket refuse, with a ValueError, any product they
+would form past the parser's bounds (parser.product_error).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
+from .parser import product_error
 from .poly import Poly, divides, gcd
 
 
@@ -95,9 +99,18 @@ class PoissonTriple(PolyVec):
     """Bracket data (f, g, h) that satisfies the Jacobi identity."""
 
 
+def _refuse_past_bounds(what: str, pairs) -> None:
+    for a, b in pairs:
+        note = product_error(a, b)
+        if note:
+            raise ValueError(f"{what}: {note}")
+
+
 def jacobi_witness(F) -> Poly:
     """dot(F, curl F); zero exactly for Poisson triples."""
-    return dot(F, curl(F))
+    c = curl(F)
+    _refuse_past_bounds("dot(F, curl F)", zip(F, c))
+    return dot(F, c)
 
 
 def is_poisson_triple(F) -> bool:
@@ -119,7 +132,11 @@ def ensure_verified(F: PolyVec) -> PoissonTriple:
 
 def bracket(F, b: Poly, c: Poly) -> Poly:
     """{b, c} under F: the determinant with rows F, grad(b), grad(c)."""
-    return dot(F, cross(grad(b), grad(c)))
+    gb, gc = grad(b), grad(c)
+    _refuse_past_bounds("bracket", ((u, v) for i, u in enumerate(gb) for j, v in enumerate(gc) if i != j))
+    x = cross(gb, gc)
+    _refuse_past_bounds("bracket", zip(F, x))
+    return dot(F, x)
 
 
 def hamiltonian(F, b: Poly) -> PolyVec:

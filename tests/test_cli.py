@@ -12,7 +12,7 @@ import pytest
 from pba import cli
 from pba.cli import main
 from pba.lifting import MAX_WEIGHT
-from pba.parser import MAX_DIGITS
+from pba.parser import MAX_DIGITS, MAX_LITERAL_DIGITS, MAX_TERM_PAIRS, parse
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -218,6 +218,24 @@ def test_spectrum_text_golden(golden, argv):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("golden, s", [
+    ("stress_x10_y.txt", "x^10 + y"),
+    ("stress_x40_yz.txt", "x^40 + y*z + 1"),
+    ("stress_xyz_squared.txt", "x^2*y^2*z^2 + 1"),
+    ("stress_sextic_a.txt", "(3*x*z + 3*y*z - 2*z - 1)*(3*z^2 - 2*y + 3*z)*(3*y*z + 2*z^2 - 3*x + 3)"),
+    ("stress_sextic_b.txt", "(x*y - 2*y*z + x + 3)*(-3*x*y - 2*y^2 - 2*y - 2*z)*(-y^2 + 1)"),
+    ("stress_sextic_c.txt", "(-x*y - x + 3)*(3*y*z - 2)*(-x*y + 2*x - 2)"),
+    ("stress_three_factors.txt", "(x^2*y+z-3)*(x*y+z)*(x+1)"),
+])
+def test_stress_rows_answer_in_bounded_time(golden, s):
+    # each of these once ran past 5 s, most of them past 20 s
+    start = time.perf_counter()
+    code, out, err = run_cli("spectrum", "--s", s, "--params", "1:0,1:1", "--max-deg", "3")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_spectrum_large_linear_eliminant():
     # every eliminant is linear; trial division over the divisors of
     # N = 10^20 would take about 10^10 steps
@@ -260,11 +278,25 @@ def decimal_value(text: str) -> int:
 
 
 def test_integer_literal_past_the_digit_bound_is_a_usage_error():
-    for lhs in ("1" + "0" * 5000, "x^1" + "0" * 5000):
+    # one digit past the bound
+    for lhs in ("1" + "0" * MAX_LITERAL_DIGITS, "x^1" + "0" * MAX_LITERAL_DIGITS):
+        start = time.perf_counter()
         code, out, err = run_cli("bracket", "--f", "0", "--g", "0", "--h", "1", "--lhs", lhs, "--rhs", "y")
+        assert time.perf_counter() - start < 1
         assert (code, out) == (2, "")
         assert err.startswith("error: --lhs: offset ")
-        assert f"longer than {MAX_DIGITS} digits" in err
+        assert f"longer than {MAX_LITERAL_DIGITS} digits" in err
+
+
+def test_spectrum_json_document_parses_back():
+    # s holds 2^20001, 6021 digits: past the digit limit of int()
+    argv = ("spectrum", "--s", "x^2 - 2^20000*x + y^2 + z^2", "--params", "1:0", "--json")
+    code, out, err = run_cli(*argv)
+    assert (code, err) == (0, "")
+    s = json.loads(out)["s"]
+    assert len(s.rsplit(" - ", 1)[1].removesuffix("*x")) == 6021
+    assert parse(s) == parse(argv[2])
+    assert run_cli(*argv[:2], s, *argv[3:]) == (0, out, "")
 
 
 def test_bracket_prints_a_coefficient_past_the_str_digit_limit():
@@ -477,6 +509,23 @@ def test_expansion_past_the_bound_exits_2_quickly(text):
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "term pairs" in err
+
+
+BIG = "(x+y+z+1)^40"  # 12341 terms: it parses, but its products pass the bound
+
+
+@pytest.mark.parametrize("argv, what", [
+    (("check-jacobi", "--f", BIG, "--g", BIG, "--h", "x"), "dot(F, curl F)"),
+    (("lift", "--f", BIG, "--g", BIG, "--h", "x", "--weight", "2"), "dot(F, curl F)"),
+    (("bracket", "--f", "1", "--g", "1", "--h", "1", "--lhs", BIG, "--rhs", "(x+y+z+2)^40"), "bracket"),
+    (("bracket", "--f", BIG, "--g", "0", "--h", "0", "--lhs", BIG, "--rhs", "y*z"), "bracket"),
+], ids=["check-jacobi", "lift", "bracket-gradients", "bracket-components"])
+def test_products_past_the_bound_exit_2_quickly(argv, what):
+    start = time.perf_counter()
+    code, out, err = run_cli(*argv)
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (2, "")
+    assert err == f"error: {what}: expansion past {MAX_TERM_PAIRS} term pairs\n"
 
 
 def test_corpus_missing_file():

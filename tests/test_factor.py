@@ -7,8 +7,8 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pba import _engine
-from pba.factor import FactorPart, Factorization, factor_bounded
+from pba import _engine, factor
+from pba.factor import FactorPart, Factorization, _linear_irreducible, factor_bounded
 from pba.parser import parse
 from pba.poly import Poly, X, Y, Z, divides
 
@@ -223,3 +223,66 @@ def test_one_buchberger_per_ansatz_system(monkeypatch, p, bound, calls):
     r = factor_bounded(p, bound)
     assert r.complete and rebuild(r) == p
     assert len(made) == calls
+
+
+def _small(free_of=None, max_terms=4):
+    """Nonconstant polynomials of degree <= 3, free of variable free_of."""
+    monos = [m for m in factor._monomials_upto(3) if free_of is None or not m[free_of]]
+    return st.dictionaries(st.sampled_from(monos), st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=max_terms).map(Poly).filter(lambda p: not p.is_constant())
+
+
+@given(st.integers(0, 2).flatmap(lambda vi: st.tuples(_small(vi), _small())))
+@settings(max_examples=60, deadline=None)
+def test_certificate_declines_every_product(uv):
+    # u is free of one variable, so u*v is linear in it whenever v is
+    u, v = uv
+    assert not _linear_irreducible(u * v)
+
+
+@pytest.mark.parametrize("text", ["x^2 + y", "x*y + 1", "x", "2*x*y*z + 3*y^2 + y*z - 1"])
+def test_certified_pins(text):
+    p = parse(text)
+    assert _linear_irreducible(p)
+    r = factor_bounded(p, 3)
+    assert r.complete and as_multiset(r) == {(str(p.monic()), 1)}
+    assert r.parts[0].absolutely_irreducible_certified
+
+
+@pytest.mark.parametrize("text, parts", [
+    ("(x + 1)*y + x + 1", [("x + 1", True), ("y + 1", True)]),
+    ("y*(x^2 - 2*z^2) + x^2 - 2*z^2", [("x^2 - 2*z^2", False), ("y + 1", True)]),
+])
+def test_declined_pins_split(text, parts):
+    p = parse(text)
+    assert not _linear_irreducible(p)
+    r = factor_bounded(p, 3)
+    assert r.complete and rebuild(r) == p
+    assert sorted((str(q.factor), q.absolutely_irreducible_certified) for q in r.parts) == parts
+
+
+def test_high_degree_linear_member_is_left_whole_without_search(monkeypatch):
+    # x^8 + y at bound 3 is what the search gives: one part, incomplete and
+    # not certified, since the bound does not reach ceil(8/2)
+    monkeypatch.setattr(factor, "_ansatz_search", None)
+    for text in ("x^10 + y", "x^8 + y"):
+        r = factor_bounded(parse(text), 3)
+        assert [(str(q.factor), q.absolutely_irreducible_certified) for q in r.parts] == [(text, False)]
+        assert not r.complete
+    monkeypatch.undo()
+    certified = factor_bounded(parse("x^8 + y"), 3)
+    monkeypatch.setattr(factor, "_linear_irreducible", lambda q: False)
+    assert factor_bounded(parse("x^8 + y"), 3) == certified
+
+
+@given(st.tuples(_small(max_terms=3), _small(max_terms=3), st.integers(-2, 2)), st.integers(0, 3))
+@settings(max_examples=40, deadline=None)
+def test_certificate_gives_what_the_search_gives(parts, bound):
+    u, v, c = parts
+    p = u * v + c
+    if p.is_zero():
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "_linear_irreducible", lambda q: False)
+        searched = factor_bounded(p, bound)
+    assert factor_bounded(p, bound) == searched

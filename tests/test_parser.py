@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pba.parser import (
     MAX_COEFF_BITS,
     MAX_DIGITS,
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_PAIR_BITS,
     MAX_TERM_PAIRS,
@@ -161,12 +162,22 @@ def test_coefficients_up_to_the_bound_parse():
 
 
 def test_integer_literals_are_bounded_in_length():
-    assert parse("1" + "0" * (MAX_DIGITS - 1)) == Poly.constant(10 ** (MAX_DIGITS - 1))
-    assert parse("x^0" + "0" * (MAX_DIGITS - 1)) == Poly.one()
-    long = "9" * (MAX_DIGITS + 1)
+    # the digits of 2^MAX_COEFF_BITS, which parses and so must parse back
+    assert MAX_LITERAL_DIGITS == len(render(Poly.constant(2**MAX_COEFF_BITS))) == 78914
+    assert parse("1" + "0" * (MAX_LITERAL_DIGITS - 1)) == Poly.constant(10 ** (MAX_LITERAL_DIGITS - 1))
+    assert parse("x^0" + "0" * (MAX_LITERAL_DIGITS - 1)) == Poly.one()
+    long = "9" * (MAX_LITERAL_DIGITS + 1)
     for text, offset in ((long, 0), (f"x + 1/{long}", 6), (f"x^{long}", 2)):
-        with pytest.raises(ParseError, match=f"offset {offset}: integer literal longer than {MAX_DIGITS} digits"):
+        with pytest.raises(ParseError, match=f"offset {offset}: integer literal longer than {MAX_LITERAL_DIGITS} digits"):
             parse(text)
+
+
+@pytest.mark.parametrize("n", [7 * 10**638 + 1, 7 * 10**639 + 1, 7 * 10**4300 + 1, 2**20001, 2**MAX_COEFF_BITS],
+                         ids=["639", "640", "4301", "6021", "78914"])
+def test_literals_past_the_int_digit_limit_convert_by_pieces(n):
+    text = render(Poly.constant(n) * X + Fraction(1, n))
+    assert parse(text) == n * X + Fraction(1, n)
+    assert render(parse(text)) == text
 
 
 def test_minus_is_expected_only_where_an_expression_starts():

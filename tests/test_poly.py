@@ -258,6 +258,28 @@ def test_exact_quotient_pins():
     assert exact_quotient(X**2 * Y - Y / 9, 3 * X + 1) == (X - Fraction(1, 3)) * Y / 3
 
 
+def test_constant_divisor_pins():
+    # a constant divisor divides term by term, and any remainder refuses
+    one, x, y = (0, 0, 0), (1, 0, 0), (0, 1, 0)
+    assert poly._divide({x: 6, one: -4}, {one: 2}) == {x: 3, one: -2}
+    assert poly._divide({x: 6, one: -3}, {one: 2}) is None
+    assert poly._divide({x: 6, y: -3}, {one: -3}) == {x: -2, y: 1}
+    assert poly._divide({x: 7}, {one: -3}) is None
+    assert poly._divide({}, {one: 5}) == {}
+
+
+@given(st.dictionaries(monos, st.integers(-50, 50).filter(bool), max_size=6), st.integers(-7, 7).filter(bool))
+def test_divide_by_a_constant_is_termwise(a, c):
+    exact = all(n % c == 0 for n in a.values())
+    assert poly._divide(a, {(0, 0, 0): c}) == ({m: n // c for m, n in a.items()} if exact else None)
+
+
+@given(polys, coeffs.filter(bool))
+def test_exact_quotient_by_a_constant(p, c):
+    q = exact_quotient(p, Poly.constant(c))
+    assert dict(q.items()) == {m: v / c for m, v in p.items()}
+
+
 @given(polys, polys)
 @settings(max_examples=40)
 def test_exact_quotient_inverts_multiplication(a, b):
