@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd as igcd
+from math import gcd as igcd, prod
 
 from . import _engine
 from .poly import Monomial, Poly, exact_quotient, gcd, grlex_key, squarefree_decomposition
@@ -180,7 +180,9 @@ def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bo
 
 def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
     """Factor p into irreducibles over Q, searching factor degrees up to
-    max_total_degree; monomial and squarefree structure is always exact."""
+    max_total_degree; monomial and squarefree structure is always exact.
+    The one runtime check of a factorization: it asserts that
+    unit * prod(factor^multiplicity) == p before returning."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if max_total_degree < 0:
@@ -201,4 +203,5 @@ def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
         unit, squarefree = squarefree_decomposition(shifted)
         split = [(sq.multiplicity, *_factor_squarefree(sq.factor, max_total_degree)) for sq in squarefree]
     parts += [FactorPart(fac, mult, certified) for mult, pieces, _ in split for fac, certified in pieces]
+    assert prod((q.factor**q.multiplicity for q in parts), start=Poly.constant(unit)) == p, f"not the factors of {p}"
     return Factorization(unit, tuple(parts), all(complete for _, _, complete in split))

@@ -15,21 +15,29 @@ Parentheses nest at most MAX_NESTING deep, which keeps the recursive
 descent well inside the interpreter's recursion limit; no product or
 power may multiply more than MAX_TERM_PAIRS term pairs, make
 coefficients that could pass MAX_COEFF_BITS bits, or have term pairs
-times coefficient bits past MAX_PAIR_BITS (product_error, which bounds
-the products other modules form too), nor any integer literal have
-more than MAX_LITERAL_DIGITS digits, those of 2^MAX_COEFF_BITS. Literals
-longer than int() takes are converted by pieces, as int_text prints them.
-render() is the canonical inverse: graded-lex descending term order,
-reduced coefficients, explicit '*'. parse(render(p)) == p while its
-literals fit MAX_LITERAL_DIGITS.
+times coefficient bits past MAX_PAIR_BITS (poly.product_error, which
+bounds the products other modules form too), nor any integer literal,
+or numerator or denominator of a sum, have more than MAX_LITERAL_DIGITS
+digits, those of 2^MAX_COEFF_BITS. Literals longer than int() takes are
+converted by pieces, as int_text prints them. render() is the canonical
+inverse: graded-lex descending term order, reduced coefficients,
+explicit '*'. parse(render(p)) == p for every p that parse returns.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, log2, log10
+from math import comb, gcd as igcd, log2, log10
 
-from .poly import Poly
+from .poly import (
+    MAX_COEFF_BITS,
+    MAX_PAIR_BITS,
+    MAX_TERM_PAIRS,
+    Poly,
+    _coeff_bits,
+    bound_error,
+    product_error,
+)
 
 
 class ParseError(ValueError):
@@ -47,18 +55,14 @@ class ParseError(ValueError):
 
 
 MAX_NESTING = 100
-# term pairs of one product, or of one power over all its steps
-MAX_TERM_PAIRS = 10**6
 # characters of a rational_literal
 MAX_DIGITS = 4300
-# bits of the numerators and denominator a product or power may make
-MAX_COEFF_BITS = 2**18
 # digits of an integer literal: those of 2^MAX_COEFF_BITS, which holds the
 # numerators a product or power may make
 MAX_LITERAL_DIGITS = int(MAX_COEFF_BITS * log10(2)) + 1
-# term pairs times coefficient bits, which the cost of the arithmetic grows
-# with: (2^250*x + 1)^999 holds each bound above but not this one
-MAX_PAIR_BITS = 2**33
+# bit length of 10^MAX_LITERAL_DIGITS: a shorter int has at most
+# MAX_LITERAL_DIGITS digits
+_LITERAL_BITS = int(MAX_LITERAL_DIGITS * log2(10)) + 1
 
 
 def rational_literal(value) -> Fraction:
@@ -83,31 +87,25 @@ def _power_cost(p: Poly, e: int) -> tuple[int, int]:
     return pairs, terms
 
 
-def _coeff_bits(p: Poly) -> float:
-    """log2 of p's largest numerator plus log2 of its denominator. A
-    coefficient of p*q, over n and m terms, has at most
-    _coeff_bits(p) + _coeff_bits(q) + log2(min(n, m)) bits, and one of
-    p^e at most e * (_coeff_bits(p) + log2(n))."""
-    return log2(max(map(abs, p._num.values()))) + log2(p._den) if p else 0.0
-
-
-def bound_error(pairs: int, bits: float = 0.0) -> str:
-    """Which bound pairs term pairs with coefficients of bits bits pass,
-    or ''."""
-    if pairs > MAX_TERM_PAIRS:
-        return f"expansion past {MAX_TERM_PAIRS} term pairs"
-    if bits > MAX_COEFF_BITS:
-        return f"coefficient past {MAX_COEFF_BITS} bits"
-    if pairs * bits > MAX_PAIR_BITS:
-        return f"term pairs times coefficient bits past {MAX_PAIR_BITS}"
+def _sum_error(before: Poly, term: Poly, total: Poly) -> str:
+    """Whether the sum total of before and +-term has a coefficient whose
+    reduced numerator or denominator is longer than a literal may be, or
+    ''. While the denominator stays before's, only the numerators at
+    term's monomials changed, and below _LITERAL_BITS bits none is long."""
+    num, den = total._num, total._den
+    changed = num if den != before._den else term._num
+    if den.bit_length() < _LITERAL_BITS:
+        for m in changed:
+            if abs(num.get(m, 0)).bit_length() >= _LITERAL_BITS:
+                break
+        else:
+            return ""
+    limit = 10**MAX_LITERAL_DIGITS
+    for n in num.values():
+        g = igcd(n, den)
+        if abs(n) // g >= limit or den // g >= limit:
+            return f"sum with a numerator or denominator longer than {MAX_LITERAL_DIGITS} digits"
     return ""
-
-
-def product_error(p: Poly, q: Poly) -> str:
-    """bound_error of the product p*q, checked before it is formed."""
-    if not (p and q):
-        return ""
-    return bound_error(len(p) * len(q), _coeff_bits(p) + _coeff_bits(q) + log2(min(len(p), len(q))))
 
 
 def _literal_int(text: str) -> int:
@@ -185,15 +183,14 @@ class _Parser:
         else:
             total = self.term()
         while True:
-            kind, _, _ = self.peek()
-            if kind == "+":
-                self.take()
-                total = total + self.term()
-            elif kind == "-":
-                self.take()
-                total = total - self.term()
-            else:
+            kind, _, offset = self.peek()
+            if kind not in ("+", "-"):
                 return total
+            self.take()
+            right = self.term()
+            summed = total + right if kind == "+" else total - right
+            self.refuse(offset, _sum_error(total, right, summed))
+            total = summed
 
     def term(self) -> Poly:
         total = self.factor()

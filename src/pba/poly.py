@@ -14,7 +14,10 @@ Gauss's lemma, stops at the first lead coefficient that does not divide
 (Geddes, Czapor & Labahn, "Algorithms for Computer Algebra", 1992).
 gcd is the heuristic GCDHEU on the numerators; where it gives up, it is
 p*q / lcm(p, q), the lcm from one elimination by the Groebner engine
-(Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms", Ch. 4 Sec. 3).
+(Cox, Little & O'Shea, "Ideals, Varieties, and Algorithms", Ch. 4 Sec. 3),
+refused with a ValueError when p*q would pass the product bounds
+(MAX_TERM_PAIRS, MAX_COEFF_BITS, MAX_PAIR_BITS), as the parser refuses
+such a product in its input.
 GCDHEU's images and evaluate use the one substitution, _engine.substitute;
 translate is an integer Taylor shift (von zur Gathen & Gerhard, ISSAC 1997).
 """
@@ -26,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd as igcd, lcm
+from math import gcd as igcd, lcm, log2
 from operator import mul
 from typing import Iterable, Iterator, Union
 
@@ -343,6 +346,48 @@ def product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int], cap: Uni
     return {m: n for m, n in acc.items() if n}
 
 
+# -- bounds on products ------------------------------------------------
+#
+# The parser refuses input whose products pass these bounds, and the
+# modules that form products from parsed input (the bracket, the Jacobi
+# witness, the gcd's lcm fallback) refuse theirs before forming them.
+
+# term pairs of one product, or of one power over all its steps
+MAX_TERM_PAIRS = 10**6
+# bits of the numerators and denominator a product or power may make
+MAX_COEFF_BITS = 2**18
+# term pairs times coefficient bits, which the cost of the arithmetic grows
+# with: (2^250*x + 1)^999 holds each bound above but not this one
+MAX_PAIR_BITS = 2**33
+
+
+def _coeff_bits(p: Poly) -> float:
+    """log2 of p's largest numerator plus log2 of its denominator. A
+    coefficient of p*q, over n and m terms, has at most
+    _coeff_bits(p) + _coeff_bits(q) + log2(min(n, m)) bits, and one of
+    p^e at most e * (_coeff_bits(p) + log2(n))."""
+    return log2(max(map(abs, p._num.values()))) + log2(p._den) if p else 0.0
+
+
+def bound_error(pairs: int, bits: float = 0.0) -> str:
+    """Which bound pairs term pairs with coefficients of bits bits pass,
+    or ''."""
+    if pairs > MAX_TERM_PAIRS:
+        return f"expansion past {MAX_TERM_PAIRS} term pairs"
+    if bits > MAX_COEFF_BITS:
+        return f"coefficient past {MAX_COEFF_BITS} bits"
+    if pairs * bits > MAX_PAIR_BITS:
+        return f"term pairs times coefficient bits past {MAX_PAIR_BITS}"
+    return ""
+
+
+def product_error(p: Poly, q: Poly) -> str:
+    """bound_error of the product p*q, checked before it is formed."""
+    if not (p and q):
+        return ""
+    return bound_error(len(p) * len(q), _coeff_bits(p) + _coeff_bits(q) + log2(min(len(p), len(q))))
+
+
 X = Poly.variable("x")
 Y = Poly.variable("y")
 Z = Poly.variable("z")
@@ -489,9 +534,14 @@ def _elimination_key(m: Mono):
 
 def _gcd_by_lcm(p: Poly, q: Poly) -> Poly:
     """gcd up to a rational unit as p*q / lcm(p, q), the lcm being the one
-    t-free element of a reduced basis of <t*p, (1 - t)*q> that eliminates t."""
+    t-free element of a reduced basis of <t*p, (1 - t)*q> that eliminates t.
+    Raises ValueError before the elimination when p*q would pass the
+    product bounds."""
     if not p or not q:
         return p or q
+    note = product_error(p, q)
+    if note:
+        raise ValueError(f"gcd: {note}")
     tp = {(1,) + m: n for m, n in p._num.items()}
     tq = {(0,) + m: n for m, n in q._num.items()}
     tq.update({(1,) + m: -n for m, n in q._num.items()})
@@ -506,7 +556,8 @@ def _gcd_by_lcm(p: Poly, q: Poly) -> Poly:
 
 def gcd(p: Poly, q: Poly) -> Poly:
     """Greatest common divisor, normalized so the graded-lex leading
-    coefficient is 1; gcd(0, 0) = 0."""
+    coefficient is 1; gcd(0, 0) = 0. Raises ValueError where GCDHEU
+    gives up and p*q would pass the product bounds (product_error)."""
     if p.is_zero():
         return q.monic()
     if q.is_zero():

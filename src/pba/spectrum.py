@@ -10,11 +10,11 @@ bundles them, sampling the pencil at user-supplied parameters since the
 projective family cannot be listed. primitive, principal and a report's
 flags are read from the fields that determine them.
 
-Validation happens once per call: each public entry that needs the
-bracket builds qm_exact_triple(s, t), which rejects a zero or non-coprime
-pair (triples.require_coprime) and returns a PoissonTriple, and the
-private helpers, which take one, check nothing again. classify_point,
-which needs no bracket, runs require_coprime alone.
+Validation happens once per call: the entries that need the bracket
+build qm_exact_triple(s, t), which rejects a zero or non-coprime pair
+(triples.require_coprime) and checks Jacobi; classify_point and
+height_one_primes run require_coprime alone, since each factor of a
+member generates a Poisson ideal by a theorem (_height_one).
 """
 
 from __future__ import annotations
@@ -28,14 +28,7 @@ from .factor import factor_bounded
 from .groebner import GroebnerBasis, buchberger, dimension, is_unit_ideal, rational_points
 from .parser import rational_literal
 from .poly import Point, Poly, ScalarLike, rat_text
-from .triples import (
-    NotCoprimeError,
-    PoissonTriple,
-    ensure_verified,
-    generates_poisson_ideal,
-    qm_exact_triple,
-    require_coprime,
-)
+from .triples import NotCoprimeError, ensure_verified, qm_exact_triple, require_coprime
 
 
 @dataclass(frozen=True)
@@ -194,8 +187,10 @@ def classify_point(s: Poly, t: Poly, p: Sequence[ScalarLike]) -> PointClass:
     return _classify(s, t, _as_point(p))
 
 
-def _locus(s: Poly, t: Poly, F: PoissonTriple) -> ResiduallyNullStratum:
-    G = residually_null_ideal(F)
+def poisson_maximal_locus(s: Poly, t: Poly) -> ResiduallyNullStratum:
+    """Residually null stratum of qm_exact(s, t): basis and dimension of
+    I = <f, g, h>, with the maximal locus enumerated when it is finite."""
+    G = residually_null_ideal(qm_exact_triple(s, t))
     dim = dimension(G)
     if dim != 0:
         return ResiduallyNullStratum(G, dim, (), (), points_complete=dim == -1)
@@ -204,19 +199,13 @@ def _locus(s: Poly, t: Poly, F: PoissonTriple) -> ResiduallyNullStratum:
     return ResiduallyNullStratum(G, dim, classified, found.eliminants, found.complete)
 
 
-def poisson_maximal_locus(s: Poly, t: Poly) -> ResiduallyNullStratum:
-    """Residually null stratum of qm_exact(s, t): basis and dimension of
-    I = <f, g, h>, with the maximal locus enumerated when it is finite."""
-    return _locus(s, t, qm_exact_triple(s, t))
-
-
-def _height_one(s: Poly, t: Poly, F: PoissonTriple, param: PencilParameter, max_deg: int):
+def _height_one(s: Poly, t: Poly, param: PencilParameter, max_deg: int):
+    """Factors of m = lam*s - mu*t, each generating a Poisson ideal: with
+    F = qm_exact(s, t), mu*F = s*grad(m) - m*grad(s) (lam*F = t*grad(m) -
+    m*grad(t) when mu = 0), and grad(m) x grad(q) lies in (q) for q | m."""
     factored = factor_bounded(_nonunit_member(s, t, param), max_deg)
-    primes = []
-    for part in factored.parts:
-        assert generates_poisson_ideal(F, part.factor)
-        primes.append(HeightOnePrime(part.factor, part.multiplicity, part.absolutely_irreducible_certified))
-    return tuple(primes), factored.complete
+    return tuple(HeightOnePrime(q.factor, q.multiplicity, q.absolutely_irreducible_certified)
+                 for q in factored.parts), factored.complete
 
 
 def height_one_primes(
@@ -224,7 +213,8 @@ def height_one_primes(
 ) -> tuple[HeightOnePrime, ...]:
     """Principal Poisson primes over one pencil member: its irreducible
     factors within the degree bound, with multiplicities and flags."""
-    primes, _ = _height_one(s, t, qm_exact_triple(s, t), param, max_deg)
+    require_coprime(s, t)
+    primes, _ = _height_one(s, t, param, max_deg)
     return primes
 
 
@@ -273,14 +263,15 @@ def spectrum_report(
     s: Poly, t: Poly, params: Sequence[PencilParameter], max_deg: int
 ) -> SpectrumReport:
     """Assemble the full classification at the sampled parameters."""
-    F = qm_exact_triple(s, t)
-    stratum = _locus(s, t, F)
+    if max_deg < 0:
+        raise ValueError("negative degree bound")
+    stratum = poisson_maximal_locus(s, t)
     height_one: dict[PencilParameter, tuple[HeightOnePrime, ...]] = {}
     complete = True
     for param in params:
         if param in height_one:
             continue
-        primes, member_complete = _height_one(s, t, F, param, max_deg)
+        primes, member_complete = _height_one(s, t, param, max_deg)
         height_one[param] = primes
         complete = complete and member_complete
     return SpectrumReport(stratum, height_one, complete)

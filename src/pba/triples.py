@@ -10,7 +10,7 @@ A PoissonTriple is a PolyVec that passed this check: only verify_triple,
 the three constructors below and cycle_variables make one.
 
 jacobi_witness and bracket refuse, with a ValueError, any product they
-would form past the parser's bounds (parser.product_error).
+would form past the product bounds (poly.product_error).
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .parser import product_error
-from .poly import Poly, divides, gcd
+from .poly import Poly, divides, gcd, product_error
 
 
 @dataclass(frozen=True)

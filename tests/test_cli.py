@@ -511,6 +511,21 @@ def test_expansion_past_the_bound_exits_2_quickly(text):
     assert "term pairs" in err
 
 
+@pytest.mark.parametrize("s, t", [("(x+y+z+1)^40", "(x+y+z+2)^40"), ("(x+y+z+1)^18", "1")])
+def test_pencil_past_the_gcd_bound_exits_2_quickly(s, t):
+    # GCDHEU gives up on these gcds, and the lcm fallback's product p*q
+    # passes the bound
+    start = time.perf_counter()
+    code, out, err = run_cli("spectrum", "--s", s, "--t", t, "--params", "1:0")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out, err) == (2, "", f"error: gcd: expansion past {MAX_TERM_PAIRS} term pairs\n")
+
+
+@pytest.mark.parametrize("params", [(), ("--params", "1:0")], ids=["no-params", "params"])
+def test_spectrum_negative_max_deg_is_a_usage_error(params):
+    assert run_cli("spectrum", "--s", "x", *params, "--max-deg", "-1") == (2, "", "error: negative degree bound\n")
+
+
 BIG = "(x+y+z+1)^40"  # 12341 terms: it parses, but its products pass the bound
 
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from pba import _engine, factor
 from pba.factor import FactorPart, Factorization, _linear_irreducible, factor_bounded
 from pba.parser import parse
-from pba.poly import Poly, X, Y, Z, divides
+from pba.poly import Poly, SquareFreePart, X, Y, Z, divides
+from pba.triples import generates_poisson_ideal, qm_exact_triple
 
 SX, SY, SZ = sp.symbols("x y z")
 
@@ -126,6 +127,29 @@ def test_bad_inputs():
         factor_bounded(Poly.zero(), 2)
     with pytest.raises(ValueError):
         factor_bounded(X, -1)
+
+
+def test_factors_of_another_member_do_not_multiply_back(monkeypatch):
+    # x^2 - 4*y^2 is another member of the pencil (x^2, y^2): its factors
+    # generate Poisson ideals of qm_exact(x^2, y^2) just as those of
+    # x^2 - y^2 do, so only multiplying back tells the two apart
+    F = qm_exact_triple(X**2, Y**2)
+    other = factor._factor_squarefree(X**2 - 4 * Y**2, 2)
+    assert all(generates_poisson_ideal(F, q) for q, _ in other[0])
+    monkeypatch.setattr(factor, "_factor_squarefree", lambda q, bound: other)
+    with pytest.raises(AssertionError):
+        factor_bounded(X**2 - Y**2, 2)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda unit, parts: (unit, tuple(SquareFreePart(sq.factor, 1) for sq in parts)),
+    lambda unit, parts: (2 * unit, parts),
+], ids=["dropped-multiplicity", "scaled-unit"])
+def test_a_wrong_squarefree_split_does_not_multiply_back(monkeypatch, mutate):
+    real = factor.squarefree_decomposition
+    monkeypatch.setattr(factor, "squarefree_decomposition", lambda p: mutate(*real(p)))
+    with pytest.raises(AssertionError):
+        factor_bounded(3 * (X + Y) ** 2 * (X - Y), 2)
 
 
 def test_factors_divide_and_rebuild():

@@ -20,7 +20,7 @@ from pba.parser import (
     parse,
     render,
 )
-from pba.poly import Poly, X, Y, Z
+from pba.poly import Poly, X, Y, Z, int_text
 
 coeffs = st.fractions(min_value=-9, max_value=9, max_denominator=8)
 monos = st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4))
@@ -170,6 +170,18 @@ def test_integer_literals_are_bounded_in_length():
     for text, offset in ((long, 0), (f"x + 1/{long}", 6), (f"x^{long}", 2)):
         with pytest.raises(ParseError, match=f"offset {offset}: integer literal longer than {MAX_LITERAL_DIGITS} digits"):
             parse(text)
+
+
+def test_sums_are_bounded_like_literals():
+    # the sum of two literals within the bound can print a longer one
+    big, half = 10 ** (MAX_LITERAL_DIGITS - 1), 10 ** ((MAX_LITERAL_DIGITS - 1) // 2)
+    fractions = f"1/{int_text(big + 1)} + 1/{int_text(big + 3)}"
+    for text, offset in ((fractions, MAX_LITERAL_DIGITS + 3), ("9" * MAX_LITERAL_DIGITS + " + 1", MAX_LITERAL_DIGITS + 1)):
+        with pytest.raises(ParseError, match=f"offset {offset}: sum with a numerator or denominator longer than"):
+            parse(text)
+    for text in ("9" * (MAX_LITERAL_DIGITS - 1) + " + 1", f"1/{int_text(half + 1)} - 1/{int_text(half + 3)}"):
+        p = parse(text)
+        assert parse(str(p)) == p
 
 
 @pytest.mark.parametrize("n", [7 * 10**638 + 1, 7 * 10**639 + 1, 7 * 10**4300 + 1, 2**20001, 2**MAX_COEFF_BITS],

@@ -1,11 +1,14 @@
 """Tests for the Poisson ideal classification layer."""
 
+import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 from pba import poly, triples
+from pba.corpus import bundled_corpus_text, load_corpus
 from pba.groebner import buchberger, dimension, ideal_member
 from pba.parser import parse
 from pba.poly import Poly, X, Y, Z
@@ -26,7 +29,7 @@ from pba.spectrum import (
     residually_null_ideal,
     spectrum_report,
 )
-from pba.triples import PolyVec, qm_exact_triple
+from pba.triples import PolyVec, generates_poisson_ideal, qm_exact_triple
 
 SL2_S = Z**2 / 2 - 2 * X * Y
 
@@ -251,3 +254,55 @@ def test_spectrum_report_validates_the_pencil_once(monkeypatch):
     report = spectrum_report(s, t, [P(1, 0), P(0, 1), P(3, 4), P(1, 4)], 3)
     assert len(report.residually_null.points) == 2
     assert (len(coprime), len(jacobi)) == (1, 1)
+    # the height-one primes need the coprimality check and no bracket
+    coprime.clear()
+    jacobi.clear()
+    height_one_primes(s, t, P(1, 4), 3)
+    assert (len(coprime), len(jacobi)) == (1, 0)
+
+
+_LINEAR = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def _seeded_pencils(count):
+    rng = random.Random(21)
+
+    def linear():
+        return Poly({m: rng.choice([-3, -2, -1, 1, 2, 3]) for m in rng.sample(_LINEAR, 3)})
+
+    while count:
+        s, t = linear() * linear(), linear() * linear() + rng.randint(-2, 2)
+        if not poly.gcd(s, t).is_constant():
+            continue
+        params = {P(1, 0), P(0, 1), P(rng.randint(-3, 3) or 1, rng.randint(-3, 3))}
+        yield s, t, [q for q in params if not pencil_member(s, t, q).is_constant()]
+        count -= 1
+
+
+def test_height_one_generators_generate_poisson_ideals():
+    # a theorem, so the library does not check it at run time
+    pencils = [(e.s, e.t, list(e.params), e.max_deg) for e in load_corpus(bundled_corpus_text())]
+    pencils += [(s, t, params, 3) for s, t, params in _seeded_pencils(20)]
+    checked = 0
+    for s, t, params, max_deg in pencils:
+        F = qm_exact_triple(s, t)
+        for primes in spectrum_report(s, t, params, max_deg).height_one.values():
+            for prime in primes:
+                assert generates_poisson_ideal(F, prime.generator), (s, t, prime)
+                checked += 1
+    assert len(pencils) == 31 and checked >= 60
+
+
+def test_classify_point_past_the_gcd_bound_raises_quickly():
+    s, t = parse("(x+y+z+1)^40"), parse("(x+y+z+2)^40")
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="gcd: expansion past"):
+        classify_point(s, t, (0, 0, 0))
+    assert time.perf_counter() - start < 1
+
+
+def test_spectrum_report_refuses_a_negative_degree_bound_first(monkeypatch):
+    monkeypatch.setattr(triples, "require_coprime", None)
+    for params in ([], [P(1, 0)]):
+        with pytest.raises(ValueError, match="negative degree bound"):
+            spectrum_report(X, Y, params, -1)
