@@ -30,6 +30,19 @@ cofactor free of v. It is then left whole with the result the search
 would give, whose systems are all the unit ideal, so the Newton slabs are
 computed only for parts that reach the search.
 
+Next, at a bound of 1 or more, _linear_factor finds the monic linear
+factor the degree-1 search would split off, with no Gröbner system. For
+each lead v dividing lm(q), in the search's order, q is restricted to the
+line that holds the other variables at _BASE. If l = v + sum a_w*w + c
+divides q = l*h, l meets the line at a rational root of that restriction,
+and there grad q = h*grad l. At a simple root h = dq/dv is nonzero, so
+a_w = (dq/dw)/(dq/dv): every factor led by v is a candidate, and exact
+division keeps the true ones. The least coefficient tuple kept is the
+least rational point of that lead's system, the one the search returns.
+A zero line, a multiple root, or a root search or root past its bound
+gives None, and the search then runs from degree 1 as before. The order
+is thus: linear certificate, linear factor, search.
+
 Otherwise certification comes from the flag that _ansatz_search returns: a
 part left whole is certified when no degree searched met a proper ideal,
 and a factor split off by running the same search on it alone.
@@ -40,10 +53,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd as igcd, prod
+from math import gcd as igcd, isqrt, prod
 
 from . import _engine
-from .poly import Monomial, Poly, exact_quotient, gcd, grlex_key, squarefree_decomposition
+from .poly import MAX_COEFF_BITS, MAX_TERM_PAIRS, Monomial, Poly, exact_quotient, gcd, grlex_key, squarefree_decomposition
 
 
 @dataclass(frozen=True)
@@ -145,6 +158,62 @@ def _linear_irreducible(q: Poly) -> bool:
     return False
 
 
+# the line of lead v holds each other variable k at _BASE[k]
+_BASE = (1, 2, 3)
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _linear_factor(q: Poly) -> Poly | None:
+    """The monic linear factor _ansatz_search(q, 1, ...) returns, found
+    from rational roots on a line and the tangent plane there; None when
+    q has none or the line cannot tell."""
+    deg = q.total_degree()
+    if deg > isqrt(MAX_TERM_PAIRS):
+        return None
+    qlm = q.leading_monomial()
+    powers = [[b**e for e in range(deg + 1)] for b in _BASE]
+    for v in (vi for vi in range(3) if qlm[vi]):
+        after = range(v + 1, 3)
+        n = max(m[v] for m in q._num)
+        # q and each dq/dw, w after v, by powers of v on the line
+        lines = [[0] * (n + 1) for _ in range(3 - v)]
+        i, j = (k for k in range(3) if k != v)
+        for m, c in q._num.items():
+            c *= powers[i][m[i]] * powers[j][m[j]]
+            lines[0][m[v]] += c
+            for w in after:
+                lines[w - v][m[v]] += c * m[w] // _BASE[w]
+        line = lines[0]
+        support = [e for e, c in enumerate(line) if c]
+        if not support:
+            return None  # q vanishes on the line
+        low, top = support[0], support[-1]
+        if top >= 3 and abs(line[low] * line[top]) > MAX_TERM_PAIRS:
+            return None  # bounds the trial division for roots
+        kept = []
+        for r in _engine.univariate_rational_roots(line)[0]:
+            s, t = r.numerator, r.denominator
+            if n * max(s.bit_length(), t.bit_length()) > MAX_COEFF_BITS:
+                return None  # bounds the powers of r below
+            # the lines at r, each times t^n
+            hom = [s**e * t**(n - e) for e in range(n + 1)]
+            g_v = sum(e * line[e] * hom[e - 1] for e in range(1, n + 1))
+            if not g_v:
+                return None  # a multiple root: the tangent plane need not be a factor's
+            g = [sum(a * h for a, h in zip(lw, hom)) for lw in lines[1:]]
+            # u = v + sum (g_w/g_v)*w + c, zero at the root, times g_v*t
+            num = {_UNITS[v]: g_v * t, **{_UNITS[w]: g_w * t for w, g_w in zip(after, g) if g_w}}
+            c = -s * g_v - t * sum(g_w * _BASE[w] for w, g_w in zip(after, g))
+            if c:
+                num[0, 0, 0] = c
+            u = Poly._make(num, g_v * t)
+            if exact_quotient(q, u) is not None:
+                kept.append(u)
+        if kept:
+            return min(kept, key=lambda u: [u.coeff(m) for m in (*_UNITS[v + 1:], (0, 0, 0))])
+    return None
+
+
 def _whole(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
     """What _factor_squarefree returns for an absolutely irreducible q,
     whose ansatz systems are all the unit ideal."""
@@ -160,18 +229,22 @@ def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bo
     if deg == 1 or _linear_irreducible(q):
         return _whole(q, bound)
     seen_proper = False
-    slabs = _newton_slabs(q)
-    for d in range(1, min(bound, deg // 2) + 1):
-        u, proper = _ansatz_search(q, d, slabs)
-        seen_proper = seen_proper or proper
-        if u is not None:
-            cof = exact_quotient(q, u)
-            assert cof is not None
-            # u is irreducible over Q and deg(u) <= bound, so this search
-            # finds no factor and its flag is u's certificate
-            head, _ = _factor_squarefree(u, bound)
-            tail, complete = _factor_squarefree(cof.monic(), bound)
-            return head + tail, complete
+    u = _linear_factor(q) if bound else None
+    if u is None:
+        slabs = _newton_slabs(q)
+        for d in range(1, min(bound, deg // 2) + 1):
+            u, proper = _ansatz_search(q, d, slabs)
+            seen_proper = seen_proper or proper
+            if u is not None:
+                break
+    if u is not None:
+        cof = exact_quotient(q, u)
+        assert cof is not None
+        # u is irreducible over Q and deg(u) <= bound, so this search
+        # finds no factor and its flag is u's certificate
+        head, _ = _factor_squarefree(u, bound)
+        tail, complete = _factor_squarefree(cof.monic(), bound)
+        return head + tail, complete
     if bound >= (deg + 1) // 2:
         # searched everything a factorization would need: irreducible over Q
         return [(q, not seen_proper)], True

@@ -209,10 +209,23 @@ def test_golden_output(golden, argv):
             ("--s", "1/2*x^2*y - 2/3*z + 5/7", "--t", "x + 3/4",
              "--params", "1:0,0:1,3:-2", "--max-deg", "2"),
         ),
+        # members with rational linear factors: the factor led by y comes
+        # before the one led by z; rational coefficients; the least of two
+        # factors led by x first; a double root and a zero polynomial on
+        # the line the factor test restricts to
+        ("linear_lead_order.txt", ("--s", "(y + 2*z - 1)*(z + 3)*(x^2 + y)", "--params", "1:0")),
+        (
+            "linear_rational.txt",
+            ("--s", "(2*x - 1)*(3*y + z - 2)*(x*y + z^2 + 1)", "--params", "1:0,1:1"),
+        ),
+        ("linear_least_tuple.txt", ("--s", "(x + y)*(x - y)*(x + z + 1)", "--params", "1:0")),
+        ("linear_double_root.txt", ("--s", "(x - y + 1)*(x - 2*y + 3)*(z + 1)", "--params", "1:0")),
+        ("linear_zero_line.txt", ("--s", "(y - 2)*(x^2 + z)", "--params", "1:0")),
     ],
 )
 def test_spectrum_text_golden(golden, argv):
-    # the inputs of the four spectrum JSON goldens, as a text report
+    # the inputs of the four spectrum JSON goldens, as a text report, and
+    # five members with linear factors
     code, out, err = run_cli("spectrum", *argv)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")

@@ -1,6 +1,8 @@
 """Tests for bounded rational factorization."""
 
+import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 import sympy as sp
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pba import _engine, factor
-from pba.factor import FactorPart, Factorization, _linear_irreducible, factor_bounded
+from pba.factor import FactorPart, Factorization, _linear_factor, _linear_irreducible, factor_bounded
 from pba.parser import parse
 from pba.poly import Poly, SquareFreePart, X, Y, Z, divides
 from pba.triples import generates_poisson_ideal, qm_exact_triple
@@ -235,12 +237,14 @@ def test_newton_pruning_keeps_the_extension_flag():
 
 @pytest.mark.parametrize(
     "p, bound, calls",
-    [(X**2 - 2 * Y**2, 2, 1), ((X - Fraction(1, 2)) * (2 * Y + 3 * Z - 1), 2, 1)],
-    ids=["x^2-2y^2", "two-linears"],
+    [(X**2 - 2 * Y**2, 2, 1), ((X - Fraction(1, 2)) * (2 * Y + 3 * Z - 1), 2, 0),
+     ((X**2 + Y**2 + 1) * (X + Z), 2, 1)],
+    ids=["x^2-2y^2", "two-linears", "quadric-times-linear"],
 )
 def test_one_buchberger_per_ansatz_system(monkeypatch, p, bound, calls):
     # one lex Buchberger per ansatz system: the solver takes the basis
-    # the search computed
+    # the search computed; a rational linear factor builds none, so only
+    # the quadric's degree-1 system is left
     made = []
     buchberger = _engine.buchberger
     monkeypatch.setattr(_engine, "buchberger", lambda *args: made.append(1) or buchberger(*args))
@@ -310,3 +314,61 @@ def test_certificate_gives_what_the_search_gives(parts, bound):
         mp.setattr(factor, "_linear_irreducible", lambda q: False)
         searched = factor_bounded(p, bound)
     assert factor_bounded(p, bound) == searched
+
+
+def _factor_upto_2(max_terms=3):
+    """Nonconstant polynomials of degree 1 or 2 (about half each) with
+    <= max_terms terms and coefficients in +-3, some halves and thirds."""
+    coeffs = st.builds(Fraction, st.integers(-3, 3).filter(bool), st.sampled_from([1, 1, 2, 3]))
+    return st.integers(1, 2).flatmap(
+        lambda d: st.dictionaries(st.sampled_from(factor._monomials_upto(d)), coeffs, min_size=1, max_size=max_terms)
+    ).map(Poly).filter(lambda p: not p.is_constant())
+
+
+@given(st.lists(_factor_upto_2(), min_size=1, max_size=3), st.sampled_from([0, 0, 0, -2, -1, 1, 2]),
+       st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_linear_factor_gives_what_the_search_gives(factors, c, bound):
+    # degree <= 5: a degree-6 draw can stall the search itself
+    p = prod(factors, start=Poly.one()) + c
+    if p.is_zero() or p.total_degree() > 5:
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(factor, "_linear_factor", lambda q: None)
+        searched = factor_bounded(p, bound)
+    assert factor_bounded(p, bound) == searched
+
+
+@pytest.mark.parametrize("text, u", [
+    ("(x + y)*(x - y)*(x + z + 1)", "x - y"),
+    ("(y + 2*z - 1)*(z + 3)*(x^2 + y)", "y + 2*z - 1"),
+])
+def test_linear_factor_pins(text, u):
+    assert str(_linear_factor(parse(text).monic())) == u
+
+
+@pytest.mark.parametrize("text, decided", [
+    ("(x + 1)*(z + 1)*(y^2 + x)", True),  # two leads: x comes first
+    ("(2*x - 1)*(3*y + z - 2)*(x*y + z^2 + 1)", True),
+    ("(x^2 + y^2 + 1)*(x + z)", True),
+    ("x^2 - 2*y^2", True),  # no rational linear factor
+    ("(x - y + 1)*(x - 2*y + 3)*(x + z + 5)", False),  # two factors share a root on the line
+])
+def test_linear_factor_is_the_search_factor_or_declines(text, decided):
+    q = parse(text).monic()
+    searched, _ = factor._ansatz_search(q, 1, factor._newton_slabs(q))
+    assert _linear_factor(q) == (searched if decided else None)
+
+
+@pytest.mark.parametrize("text", [
+    "(x - y + 1)*(x - 2*y + 3)*(z + 1)",  # a double root on the line
+    "(y - 2)*(x^2 + z)",  # zero on the line
+    "x^3 + y^3 + 10^30",  # past the bound on the line's root search
+    "x^1001 + y^2 + z^2",  # past the degree bound
+    "(x - 2^6000)*(x + (y - 2)*x^200)",  # a root too large for its powers
+])
+def test_linear_factor_declines_quickly(text):
+    q = parse(text).monic()
+    start = time.perf_counter()
+    assert _linear_factor(q) is None
+    assert time.perf_counter() - start < 0.1
