@@ -22,13 +22,17 @@ neither the rational factors nor the proper-ideal flag change. Newt(q)
 lies within its min/max slabs along the primitive directions in
 {-2..2}^3, computed once per q.
 
-Before any search, a member and then each part and cofactor is tested
-for being linear in one variable: q = a*v + b, with a and b free of v and
-gcd(a, b) constant. Such a q has no proper factor over any field: a factor
-free of v would divide both a and b, and a factor of v-degree 1 leaves a
-cofactor free of v. It is then left whole with the result the search
-would give, whose systems are all the unit ideal, so the Newton slabs are
-computed only for parts that reach the search.
+Before any search, a member and then each part and cofactor is split as
+q = a*v + b, v the first variable of degree 1 in q and a, b free of v.
+_linear_content returns gcd(a, b), dividing before any gcd: a constant a
+gives 1, an a dividing b gives a, and a linear a not dividing b gives 1.
+Content 1 means q has no proper factor over any field: a factor free of v
+would divide a and b, and one of v-degree 1 leaves a cofactor free of v.
+Such a q is left whole with the result the search would give, whose
+systems are all the unit ideal. A nonconstant content c makes q = c*(q/c)
+reducible, so the first v decides. It also settles a member's squarefree
+split: q/c is irreducible and prime to c, which is free of v, so the
+parts of q are those of the smaller c, with q/c joined to multiplicity 1.
 
 Next, at a bound of 1 or more, _linear_factor finds the monic linear
 factor the degree-1 search would split off, with no Gröbner system. For
@@ -40,8 +44,9 @@ a_w = (dq/dw)/(dq/dv): every factor led by v is a candidate, and exact
 division keeps the true ones. The least coefficient tuple kept is the
 least rational point of that lead's system, the one the search returns.
 A zero line, a multiple root, or a root search or root past its bound
-gives None, and the search then runs from degree 1 as before. The order
-is thus: linear certificate, linear factor, search.
+gives None, and the search then runs from degree 1 as before. It returns
+the cofactor with the factor. The order is thus: linear content, linear
+factor, search.
 
 Otherwise certification comes from the flag that _ansatz_search returns: a
 part left whole is certified when no degree searched met a proper ideal,
@@ -56,7 +61,8 @@ from itertools import product
 from math import gcd as igcd, isqrt, prod
 
 from . import _engine
-from .poly import MAX_COEFF_BITS, MAX_TERM_PAIRS, Monomial, Poly, exact_quotient, gcd, grlex_key, squarefree_decomposition
+from .poly import (MAX_COEFF_BITS, MAX_TERM_PAIRS, Monomial, Poly, SquareFreePart, exact_quotient, gcd, grlex_key,
+                   squarefree_decomposition)
 
 
 @dataclass(frozen=True)
@@ -147,15 +153,36 @@ def _ansatz_search(q: Poly, d: int, slabs: list[tuple[Monomial, int, int]]) -> t
     return None, proper_seen
 
 
-def _linear_irreducible(q: Poly) -> bool:
-    """True when q = a*v + b for a variable v, with a and b free of v and
-    gcd(a, b) constant: then q has no proper factor over any field."""
-    for vi in q.variables():
-        if all(m[vi] < 2 for m in q._num):
-            a = Poly._make({m[:vi] + (0,) + m[vi + 1:]: n for m, n in q._num.items() if m[vi]})
-            if a.is_constant() or gcd(a, Poly._make({m: n for m, n in q._num.items() if not m[vi]})).is_constant():
-                return True
-    return False
+def _linear_content(q: Poly) -> Poly | None:
+    """gcd(a, b), monic, for q = a*v + b with v the first variable in
+    which q has degree 1 and a, b free of v; None when there is no such
+    variable. Content 1 certifies q absolutely irreducible."""
+    v = next((vi for vi in range(3) if q.degree_in(vi) == 1), None)
+    if v is None:
+        return None
+    a = Poly._make({m[:v] + (0,) + m[v + 1:]: n for m, n in q._num.items() if m[v]})
+    if a.is_constant():
+        return Poly.one()
+    b = Poly._make({m: n for m, n in q._num.items() if not m[v]})
+    if exact_quotient(b, a) is not None:
+        return a.monic()
+    if a.total_degree() == 1:
+        return Poly.one()  # irreducible and not dividing b
+    return gcd(a, b)
+
+
+def _squarefree_by_content(q: Poly, c: Poly) -> tuple[Fraction, tuple[SquareFreePart, ...]]:
+    """squarefree_decomposition(q) for a nonconstant c = _linear_content(q):
+    q/c is irreducible and prime to c, so it joins c's multiplicity-1 part."""
+    unit = q.leading_coefficient()
+    parts = squarefree_decomposition(c)[1] if c.total_degree() > 1 else ()
+    if not parts or parts[0].factor == c:  # c is squarefree, and so is q
+        return unit, (SquareFreePart(q.monic(), 1),)
+    p = exact_quotient(q, c)
+    assert p is not None
+    if parts[0].multiplicity == 1:
+        p, parts = parts[0].factor * p, parts[1:]
+    return unit, (SquareFreePart(p.monic(), 1), *parts)
 
 
 # the line of lead v holds each other variable k at _BASE[k]
@@ -163,10 +190,10 @@ _BASE = (1, 2, 3)
 _UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 
 
-def _linear_factor(q: Poly) -> Poly | None:
-    """The monic linear factor _ansatz_search(q, 1, ...) returns, found
-    from rational roots on a line and the tangent plane there; None when
-    q has none or the line cannot tell."""
+def _linear_factor(q: Poly) -> tuple[Poly, Poly] | None:
+    """(u, q/u) for the monic linear factor u that _ansatz_search(q, 1, ...)
+    returns, found from rational roots on a line and the tangent plane
+    there; None when q has none or the line cannot tell."""
     deg = q.total_degree()
     if deg > isqrt(MAX_TERM_PAIRS):
         return None
@@ -207,10 +234,11 @@ def _linear_factor(q: Poly) -> Poly | None:
             if c:
                 num[0, 0, 0] = c
             u = Poly._make(num, g_v * t)
-            if exact_quotient(q, u) is not None:
-                kept.append(u)
+            cof = exact_quotient(q, u)
+            if cof is not None:
+                kept.append((u, cof))
         if kept:
-            return min(kept, key=lambda u: [u.coeff(m) for m in (*_UNITS[v + 1:], (0, 0, 0))])
+            return min(kept, key=lambda uc: [uc[0].coeff(m) for m in (*_UNITS[v + 1:], (0, 0, 0))])
     return None
 
 
@@ -226,19 +254,20 @@ def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bo
     """Split monic squarefree q into irreducibles over Q within the degree
     bound; returns (factors with absolute-irreducibility flags, complete)."""
     deg = q.total_degree()
-    if deg == 1 or _linear_irreducible(q):
+    if deg == 1 or _linear_content(q) == 1:
         return _whole(q, bound)
     seen_proper = False
-    u = _linear_factor(q) if bound else None
-    if u is None:
+    found = _linear_factor(q) if bound else None
+    if found is None:
         slabs = _newton_slabs(q)
         for d in range(1, min(bound, deg // 2) + 1):
             u, proper = _ansatz_search(q, d, slabs)
             seen_proper = seen_proper or proper
             if u is not None:
+                found = u, exact_quotient(q, u)
                 break
-    if u is not None:
-        cof = exact_quotient(q, u)
+    if found is not None:
+        u, cof = found
         assert cof is not None
         # u is irreducible over Q and deg(u) <= bound, so this search
         # finds no factor and its flag is u's certificate
@@ -269,11 +298,13 @@ def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
         for vi, a in enumerate(mins):
             if a:
                 parts.append(FactorPart(Poly.variable(vi), a, True))
-    if _linear_irreducible(shifted):  # irreducible, so squarefree
+    content = _linear_content(shifted)
+    if content == 1:  # irreducible, so squarefree
         unit = shifted.leading_coefficient()
         split = [(1, *_whole(shifted.monic(), max_total_degree))]
     else:
-        unit, squarefree = squarefree_decomposition(shifted)
+        unit, squarefree = (squarefree_decomposition(shifted) if content is None
+                            else _squarefree_by_content(shifted, content))
         split = [(sq.multiplicity, *_factor_squarefree(sq.factor, max_total_degree)) for sq in squarefree]
     parts += [FactorPart(fac, mult, certified) for mult, pieces, _ in split for fac, certified in pieces]
     assert prod((q.factor**q.multiplicity for q in parts), start=Poly.constant(unit)) == p, f"not the factors of {p}"

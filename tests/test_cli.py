@@ -239,6 +239,7 @@ def test_spectrum_text_golden(golden, argv):
     ("stress_sextic_b.txt", "(x*y - 2*y*z + x + 3)*(-3*x*y - 2*y^2 - 2*y - 2*z)*(-y^2 + 1)"),
     ("stress_sextic_c.txt", "(-x*y - x + 3)*(3*y*z - 2)*(-x*y + 2*x - 2)"),
     ("stress_three_factors.txt", "(x^2*y+z-3)*(x*y+z)*(x+1)"),
+    ("stress_linear_content.txt", "(x - 1)*(x^20000 + y + z)"),
 ])
 def test_stress_rows_answer_in_bounded_time(golden, s):
     # each of these once ran past 5 s, most of them past 20 s

@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pba import _engine, factor
-from pba.factor import FactorPart, Factorization, _linear_factor, _linear_irreducible, factor_bounded
+from pba.factor import (FactorPart, Factorization, _linear_content, _linear_factor, _squarefree_by_content,
+                        factor_bounded)
 from pba.parser import parse
-from pba.poly import Poly, SquareFreePart, X, Y, Z, divides
+from pba.poly import Poly, SquareFreePart, X, Y, Z, divides, exact_quotient, gcd, squarefree_decomposition
 from pba.triples import generates_poisson_ideal, qm_exact_triple
 
 SX, SY, SZ = sp.symbols("x y z")
@@ -265,13 +266,13 @@ def _small(free_of=None, max_terms=4):
 def test_certificate_declines_every_product(uv):
     # u is free of one variable, so u*v is linear in it whenever v is
     u, v = uv
-    assert not _linear_irreducible(u * v)
+    assert _linear_content(u * v) != 1
 
 
 @pytest.mark.parametrize("text", ["x^2 + y", "x*y + 1", "x", "2*x*y*z + 3*y^2 + y*z - 1"])
 def test_certified_pins(text):
     p = parse(text)
-    assert _linear_irreducible(p)
+    assert _linear_content(p) == 1
     r = factor_bounded(p, 3)
     assert r.complete and as_multiset(r) == {(str(p.monic()), 1)}
     assert r.parts[0].absolutely_irreducible_certified
@@ -283,7 +284,7 @@ def test_certified_pins(text):
 ])
 def test_declined_pins_split(text, parts):
     p = parse(text)
-    assert not _linear_irreducible(p)
+    assert _linear_content(p) != 1
     r = factor_bounded(p, 3)
     assert r.complete and rebuild(r) == p
     assert sorted((str(q.factor), q.absolutely_irreducible_certified) for q in r.parts) == parts
@@ -299,7 +300,7 @@ def test_high_degree_linear_member_is_left_whole_without_search(monkeypatch):
         assert not r.complete
     monkeypatch.undo()
     certified = factor_bounded(parse("x^8 + y"), 3)
-    monkeypatch.setattr(factor, "_linear_irreducible", lambda q: False)
+    monkeypatch.setattr(factor, "_linear_content", lambda q: None)
     assert factor_bounded(parse("x^8 + y"), 3) == certified
 
 
@@ -311,9 +312,66 @@ def test_certificate_gives_what_the_search_gives(parts, bound):
     if p.is_zero():
         return
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(factor, "_linear_irreducible", lambda q: False)
+        mp.setattr(factor, "_linear_content", lambda q: None)
         searched = factor_bounded(p, bound)
     assert factor_bounded(p, bound) == searched
+
+
+def _certified_by_some_variable(q):
+    """The certificate as first defined: some variable v of degree 1 with
+    q = a*v + b and gcd(a, b) constant."""
+    for vi in q.variables():
+        if q.degree_in(vi) == 1:
+            a = Poly({m[:vi] + (0,) + m[vi + 1:]: c for m, c in q.items() if m[vi]})
+            b = Poly({m: c for m, c in q.items() if not m[vi]})
+            if gcd(a, b).is_constant():
+                return True
+    return False
+
+
+@given(st.one_of(
+    st.tuples(_small(max_terms=3), _small(max_terms=3), st.integers(-2, 2)).map(lambda t: t[0] * t[1] + t[2]),
+    st.integers(0, 2).flatmap(lambda vi: st.tuples(_small(vi), _small(vi, max_terms=2), _small(vi, max_terms=2))
+                              .map(lambda t: t[0] * (t[1] * Poly.variable(vi) + t[2]))),
+).filter(bool))
+@settings(max_examples=80, deadline=None)
+def test_content_verdict_is_the_certificate(q):
+    # the first variable of degree 1 decides what any of them would
+    assert (_linear_content(q) == 1) == _certified_by_some_variable(q)
+
+
+def _free_of(vi, deg, max_terms):
+    monos = [m for m in factor._monomials_upto(deg) if not m[vi]]
+    return st.dictionaries(st.sampled_from(monos), st.integers(-3, 3).filter(bool),
+                           min_size=1, max_size=max_terms).map(Poly)
+
+
+@given(st.integers(0, 2).flatmap(lambda vi: st.tuples(
+    st.just(vi),
+    st.lists(st.tuples(_free_of(vi, 2, 3).filter(lambda p: not p.is_constant()), st.integers(1, 3)),
+             min_size=1, max_size=2),
+    _free_of(vi, 1, 2), _free_of(vi, 1, 2))))
+@settings(max_examples=100, deadline=None)
+def test_squarefree_by_content_is_the_decomposition(draw):
+    # q = c*(alpha*v + beta) with c free of v, at degree <= 5 as in the
+    # linear-factor differential below
+    vi, powers, alpha, beta = draw
+    q = prod((f**e for f, e in powers), start=Poly.one()) * (alpha * Poly.variable(vi) + beta)
+    if q.total_degree() > 5:
+        return
+    content = _linear_content(q)
+    if content is None or content == 1:
+        return
+    assert _squarefree_by_content(q, content) == squarefree_decomposition(q)
+
+
+def test_linear_content_divides_before_any_gcd(monkeypatch):
+    def no_gcd(p, q):
+        raise AssertionError("gcd called")
+
+    monkeypatch.setattr(factor, "gcd", no_gcd)
+    assert str(_linear_content(parse("(x + y + 1)*(y + z + 2)"))) == "y + z + 2"
+    assert _linear_content(parse("x*y + z + 1")) == 1
 
 
 def _factor_upto_2(max_terms=3):
@@ -344,7 +402,7 @@ def test_linear_factor_gives_what_the_search_gives(factors, c, bound):
     ("(y + 2*z - 1)*(z + 3)*(x^2 + y)", "y + 2*z - 1"),
 ])
 def test_linear_factor_pins(text, u):
-    assert str(_linear_factor(parse(text).monic())) == u
+    assert str(_linear_factor(parse(text).monic())[0]) == u
 
 
 @pytest.mark.parametrize("text, decided", [
@@ -357,7 +415,8 @@ def test_linear_factor_pins(text, u):
 def test_linear_factor_is_the_search_factor_or_declines(text, decided):
     q = parse(text).monic()
     searched, _ = factor._ansatz_search(q, 1, factor._newton_slabs(q))
-    assert _linear_factor(q) == (searched if decided else None)
+    expected = searched and (searched, exact_quotient(q, searched))
+    assert _linear_factor(q) == (expected if decided else None)
 
 
 @pytest.mark.parametrize("text", [
