@@ -11,7 +11,9 @@ is complete only when the bound reaches ceil(deg/2) for every cofactor.
 The same systems decide absolute irreducibility: a unit ideal at every
 degree means no factor over any extension field; a proper ideal with no
 rational point (e.g. x^2 - 2) leaves the factor irreducible over Q but
-not certified absolutely irreducible.
+not certified absolutely irreducible. Most systems are the unit ideal,
+which a graded-lex basis shows far sooner than a lex one, so lex, which
+the rational solver needs, is computed only for a proper ideal.
 
 Each ansatz keeps only the unknowns that Newton polytopes allow. By
 Ostrowski's theorem Newt(u*v) = Newt(u) + Newt(v), so for a factor u with
@@ -143,9 +145,9 @@ def _ansatz_search(q: Poly, d: int, slabs: list[tuple[Monomial, int, int]]) -> t
         system = _division_system(q, m, unknowns)
         if not system:
             return Poly.term(1, m), proper_seen
-        basis = _engine.buchberger(system, _engine.lex_key)
-        if _engine.is_unit(basis):
+        if _engine.is_unit(_engine.buchberger(system, _engine.grlex_key)):
             continue
+        basis = _engine.buchberger(system, _engine.lex_key)
         points, _, _ = _engine.solve_rational(basis, len(unknowns))
         if points:
             return Poly([(m, 1), *zip(unknowns, points[0])]), proper_seen

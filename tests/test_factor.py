@@ -238,20 +238,29 @@ def test_newton_pruning_keeps_the_extension_flag():
 
 @pytest.mark.parametrize(
     "p, bound, calls",
-    [(X**2 - 2 * Y**2, 2, 1), ((X - Fraction(1, 2)) * (2 * Y + 3 * Z - 1), 2, 0),
-     ((X**2 + Y**2 + 1) * (X + Z), 2, 1)],
+    [(X**2 - 2 * Y**2, 2, (1, 1)), ((X - Fraction(1, 2)) * (2 * Y + 3 * Z - 1), 2, (0, 0)),
+     ((X**2 + Y**2 + 1) * (X + Z), 2, (1, 0))],
     ids=["x^2-2y^2", "two-linears", "quadric-times-linear"],
 )
 def test_one_buchberger_per_ansatz_system(monkeypatch, p, bound, calls):
-    # one lex Buchberger per ansatz system: the solver takes the basis
-    # the search computed; a rational linear factor builds none, so only
-    # the quadric's degree-1 system is left
+    # (graded-lex, lex) Buchberger runs: one graded-lex per ansatz system,
+    # and one lex for a proper ideal, whose basis the solver takes; a
+    # rational linear factor builds none, so only the quadric's degree-1
+    # system is left, and it is the unit ideal
     made = []
     buchberger = _engine.buchberger
-    monkeypatch.setattr(_engine, "buchberger", lambda *args: made.append(1) or buchberger(*args))
+    monkeypatch.setattr(_engine, "buchberger", lambda gens, key: made.append(key) or buchberger(gens, key))
     r = factor_bounded(p, bound)
     assert r.complete and rebuild(r) == p
-    assert len(made) == calls
+    assert (made.count(_engine.grlex_key), made.count(_engine.lex_key)) == calls
+
+
+def test_unit_ideal_is_decided_before_lex():
+    # irreducible, and its degree-3 systems are unit ideals that a lex
+    # basis did not reach in minutes
+    p = parse("9*y*z^5 + 9*z^6 + 9*y^2*z^3 + 27*y*z^4 + 9*z^5 + 9*y^2*z^2 + 9*y*z^3 - 1")
+    r = factor_bounded(p, 3)
+    assert r.complete and r.unit == 9 and r.parts == (FactorPart(p.monic(), 1, True),)
 
 
 def _small(free_of=None, max_terms=4):
