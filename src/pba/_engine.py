@@ -1,19 +1,27 @@
 """Gröbner machinery over raw exponent-tuple polynomials.
 
-An Epoly maps exponent tuples of any fixed width to nonzero ints, and
-bases come back primitive with a positive lead. groebner.py wraps it for
-three variables; the factor-search ansatz adds one tuple slot per unknown
-coefficient, so nothing assumes width three.
+An Epoly maps exponent tuples of any fixed width to nonzero ints: three
+for groebner.py, and one more per unknown coefficient in the factor-search
+ansatz. An order is a sort key with a block (lo, hi): lex, slot 0
+highest, except that slots lo..hi-1 (hi None: the rest) compare by their
+sum first; grlex_key has the block (0, None).
 
-Variable precedence follows tuple position (slot 0 highest). Buchberger
-keeps each basis element primitive with its lead alongside and reduces
-fraction-free. Pairs go smallest lcm first and are pruned by the
-Gebauer-Moller update (J. Symb. Comp. 6, 1988); normal_form and certify
-use the same reduction. One substitute (slot = a/b, times b^deg) serves
-the solver, the gcd and Poly.evaluate; Poly.translate is a Taylor shift.
+buchberger, normal_form and certify pack each monomial into one int
+(Monagan & Pearce, CASC 2007): per slot a field of B value bits under a
+guard bit, slot 0 highest, and the block's sum in a field above the
+block. Int order is then the term order, products are +, and a divides
+b iff ((b | G) - a) & G == G for the guard mask G. B fits the inputs'
+degrees; a guard bit set in a term or an lcm (lex can raise exponents)
+restarts the call at twice the width, so answers are exact at any
+exponent.
 
-Inputs are read-only and every polynomial returned is a fresh dict, so
-callers may pass the term dicts of immutable polynomials uncopied.
+Buchberger reduces fraction-free, takes pairs smallest lcm first and
+prunes them by Gebauer-Moller (J. Symb. Comp. 6, 1988); bases come back
+primitive with a positive lead. One substitute (slot = a/b, times b^deg)
+serves the solver, the gcd and Poly.evaluate; Poly.translate is a Taylor
+shift. Inputs are read-only and every polynomial returned is a fresh
+dict, so callers may pass the term dicts of immutable polynomials
+uncopied.
 """
 
 from __future__ import annotations
@@ -21,12 +29,14 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import gcd as igcd, isqrt, lcm
-from operator import add, le, mul, sub
+from operator import itemgetter, mul
 
 Mono = tuple[int, ...]
 Epoly = dict[Mono, int]
+Packed = dict[int, int]
 
 
 def lex_key(m: Mono):
@@ -38,20 +48,15 @@ def grlex_key(m: Mono):
     return (sum(m), m)
 
 
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(map(le, a, b))
+def order(lo: int, hi: int | None):
+    """The order of block (lo, hi), as a sort key."""
+    def key(m: Mono):
+        return m[:lo], sum(m[lo:hi]), m[lo:]
+    key.block = lo, hi
+    return key
 
 
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
-
-
-def mono_add(a: Mono, b: Mono) -> Mono:
-    return tuple(map(add, a, b))
-
-
-def mono_sub(a: Mono, b: Mono) -> Mono:
-    return tuple(map(sub, a, b))
+lex_key.block, grlex_key.block = (0, 0), (0, None)
 
 
 def substitute(p: Epoly, vi: int, a: int, b: int = 1) -> tuple[Epoly, int]:
@@ -67,35 +72,97 @@ def substitute(p: Epoly, vi: int, a: int, b: int = 1) -> tuple[Epoly, int]:
     return {k: v for k, v in out.items() if v}, deg
 
 
-Reducer = tuple[Mono, int, list[tuple[Mono, int]]]
+_MIN_BITS = 15  # value bits of a field at the first try
 
 
-def _reducer(p: Epoly, key) -> Reducer:
+class _Overflow(Exception):
+    pass
+
+
+class _Layout:
+    """An order on n slots packed at B = bits value bits per field."""
+
+    def __init__(self, order, n: int, bits: int):
+        lo, hi = order.block
+        hi, w = n if hi is None else hi, bits + 1
+        graded = lo < hi
+        top = n + graded - 1  # the top field's index; the sum's is above slot lo's
+        self.bits, self.mod, self.sum_at = bits, (1 << w) - 1, (top - lo) * w
+        self.guard = ((1 << (top + 1) * w) - 1) // self.mod << bits  # atop every field
+        self.nosum = graded and ~(self.mod << self.sum_at)
+        self.shifts, self.mults, self.block = [], [], 0
+        for i in range(n):
+            s, inside = (top - i - (graded and i >= lo)) * w, lo <= i < hi
+            self.shifts.append(s)
+            self.mults.append((1 << s) + (inside << self.sum_at))
+            self.block |= inside * (self.mod >> 1) << s
+
+    def unpack(self, terms) -> Epoly:
+        """The Epoly of packed (monomial, coefficient) pairs."""
+        shifts, mask = self.shifts, self.mod >> 1
+        return {tuple([k >> s & mask for s in shifts]): c for k, c in terms}
+
+
+_layout = lru_cache(maxsize=256)(_Layout)
+
+
+def _widening(order, polys: list[Epoly], run):
+    """run(layout, polys packed), widened until no guard bit is set; the
+    first poly must be nonzero."""
+    n = len(next(iter(polys[0])))
+    bits = max(_MIN_BITS, max(map(sum, chain.from_iterable(polys))).bit_length())
+    while True:
+        layout = _layout(order, n, bits)
+        mults = layout.mults
+        try:
+            return run(layout, [{sum(map(mul, m, mults)): c for m, c in p.items()} for p in polys])
+        except _Overflow:
+            bits = 2 * bits + 1
+
+
+def _lcm(a: int, b: int, layout: _Layout) -> int:
+    guard = layout.guard
+    t = ((a | guard) - b) & guard  # the guard bits of the fields where a >= b
+    keep = t - (t >> layout.bits)
+    big = a & keep | b & ~keep
+    if layout.block:  # the block's sum is its fields' sum mod 2^(B+1) - 1
+        big = big & layout.nosum | (big & layout.block) % layout.mod << layout.sum_at
+    if big & guard:
+        raise _Overflow
+    return big
+
+
+Reducer = tuple[int, int, list[tuple[int, int]]]
+
+
+def _reducer(p: Packed) -> Reducer:
     """Nonzero p made primitive with a positive lead, as (lead monomial,
     its coefficient, other terms)."""
-    lm = max(p, key=key)
+    lm = max(p)
     g = igcd(*p.values()) if p[lm] > 0 else -igcd(*p.values())
     return lm, p[lm] // g, [(m, c // g) for m, c in p.items() if m != lm]
 
 
-def _reduce(p: Epoly, reducers: list[Reducer], key) -> tuple[Epoly, int]:
+def _reduce(p: Packed, reducers: list[Reducer], guard: int) -> tuple[Packed, int]:
     """Full remainder of integer p under division by the reducers, scanning
-    them in order, fraction-free: returns (r, s) with s > 0 such that r / s
-    is the remainder over Q. Before a term c is cancelled against a leading
-    coefficient lc, the running remainder is scaled by lc // gcd(c, lc).
-    Terms leave in descending order; every term a step adds is smaller
-    than the one it cancels, so a term that has left never comes back."""
+    them in order, fraction-free: (r, s) with s > 0, r / s the remainder
+    over Q. Cancelling a term c against a lead coefficient lc first scales
+    the running remainder by lc // gcd(c, lc). Terms leave in descending
+    order, and each step adds only terms below the one it cancels."""
     work = dict(p)
-    todo = sorted(work, key=key)  # ascending, and may hold cancelled terms
-    rem: Epoly = {}
+    todo = sorted(work)  # ascending, and may hold cancelled terms
+    rem: Packed = {}
     scale = 1
     while todo:
         m = todo.pop()
         c = work.pop(m, 0)
         if not c:
             continue
+        if m & guard:
+            raise _Overflow
+        mg = m | guard
         for lm, lc, tail in reducers:
-            if mono_divides(lm, m):
+            if (mg - lm) & guard == guard:
                 g = igcd(c, lc)
                 if g != lc:
                     mult = lc // g
@@ -104,13 +171,13 @@ def _reduce(p: Epoly, reducers: list[Reducer], key) -> tuple[Epoly, int]:
                         for k in terms:
                             terms[k] *= mult
                 q = c // g
-                shift = mono_sub(m, lm)
+                shift = m - lm
                 for bm, bc in tail:
-                    k = mono_add(bm, shift)
+                    k = bm + shift
                     v = work.get(k)
                     if v is None:
                         work[k] = -q * bc
-                        insort(todo, k, key=key)
+                        insort(todo, k)
                     elif v == q * bc:
                         del work[k]
                     else:
@@ -121,16 +188,16 @@ def _reduce(p: Epoly, reducers: list[Reducer], key) -> tuple[Epoly, int]:
     return rem, scale
 
 
-def _spoly(a: Reducer, b: Reducer, big: Mono) -> Epoly:
-    """Integer S-polynomial of a and b over the lcm big of their leads, each
-    side scaled by the other's lead coefficient over their gcd; the leads
-    cancel, so only the tails are formed."""
+def _spoly(a: Reducer, b: Reducer, big: int) -> Packed:
+    """Integer S-polynomial of a and b over the lcm big of their leads,
+    each side scaled by the other's lead coefficient over their gcd; only
+    the tails are formed, as the leads cancel."""
     g = igcd(a[1], b[1])
-    out: Epoly = {}
+    out: Packed = {}
     for (lm, _, tail), f in ((a, b[1] // g), (b, -a[1] // g)):
-        shift = mono_sub(big, lm)
+        shift = big - lm
         for m, c in tail:
-            k = mono_add(m, shift)
+            k = m + shift
             v = out.get(k, 0) + f * c
             if v:
                 out[k] = v
@@ -139,82 +206,90 @@ def _spoly(a: Reducer, b: Reducer, big: Mono) -> Epoly:
     return out
 
 
-def normal_form(p: Epoly, basis: list[Epoly], key) -> tuple[Epoly, int]:
+def normal_form(p: Epoly, basis: list[Epoly], order) -> tuple[Epoly, int]:
     """Full remainder of integer p under division by the basis, scanning
     divisors in basis order, as (r, s) for the remainder r / s; unique when
     the basis is a Gröbner basis."""
-    return _reduce(p, [_reducer(b, key) for b in basis], key)
+    def run(layout, packed):
+        rem, scale = _reduce(packed[0], [_reducer(b) for b in packed[1:]], layout.guard)
+        return layout.unpack(rem.items()), scale
+
+    return _widening(order, [p, *basis], run) if p else ({}, 1)
 
 
-def buchberger(gens: list[Epoly], key) -> list[Epoly]:
+def buchberger(gens: list[Epoly], order) -> list[Epoly]:
     """Reduced Gröbner basis (primitive, positive lead term first, fully
     inter-reduced, sorted by descending leading monomial). Deterministic
     for fixed input."""
+    gens = [g for g in gens if g]
+    return _widening(order, gens, _buchberger) if gens else []
+
+
+def _buchberger(layout: _Layout, gens: list[Packed]) -> list[Epoly]:
+    guard = layout.guard
     polys: list[Reducer] = []
     live: list[int] = []  # indices of the elements new pairs are made with
-    pending: list[tuple] = []  # heap of (key(lcm), i, j, lcm)
+    pending: list[tuple[int, int, int]] = []  # heap of (lcm, i, j)
 
     def update(h: Reducer):
         # Gebauer-Moller: of h's new pairs, drop those whose lcm another's
         # divides (keeping one per lcm) and those with coprime leads; drop
         # old pairs whose lcm lh divides unless it is an lcm with h.
         lh = h[0]
-        new = [(mono_lcm(polys[g][0], lh), g) for g in live]
+        new = [(_lcm(polys[g][0], lh, layout), g) for g in live]
         kept = []
         for n, (big, g) in enumerate(new):
-            coprime = not any(map(min, polys[g][0], lh))
-            if coprime or not any(mono_divides(o[0], big) for o in chain(new[n + 1:], kept)):
+            coprime = big == polys[g][0] + lh
+            bg = big | guard
+            if coprime or not any((bg - o[0]) & guard == guard for o in chain(new[n + 1:], kept)):
                 kept.append((big, g, coprime))
         pending[:] = [
             p for p in pending
-            if not mono_divides(lh, p[3])
-            or p[3] in (mono_lcm(polys[p[1]][0], lh), mono_lcm(polys[p[2]][0], lh))
+            if ((p[0] | guard) - lh) & guard != guard
+            or p[0] in (_lcm(polys[p[1]][0], lh, layout), _lcm(polys[p[2]][0], lh, layout))
         ]
         heapq.heapify(pending)
         j = len(polys)
         for big, g, coprime in kept:
             if not coprime:
-                heapq.heappush(pending, (key(big), g, j, big))
-        live[:] = [g for g in live if not mono_divides(lh, polys[g][0])] + [j]
+                heapq.heappush(pending, (big, g, j))
+        live[:] = [g for g in live if ((polys[g][0] | guard) - lh) & guard != guard] + [j]
         polys.append(h)
 
     for g in gens:
-        if g:
-            update(_reducer(g, key))
+        update(_reducer(g))
     while pending:
-        _, i, j, big = heapq.heappop(pending)
-        r, _ = _reduce(_spoly(polys[i], polys[j], big), [polys[k] for k in live], key)
+        big, i, j = heapq.heappop(pending)
+        r, _ = _reduce(_spoly(polys[i], polys[j], big), [polys[k] for k in live], guard)
         if r:
-            update(_reducer(r, key))
+            update(_reducer(r))
     # Live leads are distinct. Keep the minimal ones, then reduce each tail
     # by the elements with smaller leads, the only ones that divide its terms.
     leads = [polys[g][0] for g in live]
     minimal = [polys[g] for g in live
-               if not any(o != polys[g][0] and mono_divides(o, polys[g][0]) for o in leads)]
-    minimal.sort(key=lambda r: key(r[0]))
+               if not any(o != polys[g][0] and ((polys[g][0] | guard) - o) & guard == guard for o in leads)]
+    minimal.sort(key=itemgetter(0))
     done: list[Reducer] = []
     for lm, lc, tail in minimal:
-        rem, scale = _reduce(dict(tail), done, key)
-        done.append(_reducer({lm: lc * scale, **rem}, key))
-    return [{lm: lc, **dict(tail)} for lm, lc, tail in reversed(done)]
+        rem, scale = _reduce(dict(tail), done, guard)
+        done.append(_reducer({lm: lc * scale, **rem}))
+    return [layout.unpack([(lm, lc), *tail]) for lm, lc, tail in reversed(done)]
 
 
 def is_unit(basis: list[Epoly]) -> bool:
     return len(basis) == 1 and len(basis[0]) == 1 and not any(*basis[0])
 
 
-def certify(gens: list[Epoly], basis: list[Epoly], key) -> bool:
+def certify(gens: list[Epoly], basis: list[Epoly], order) -> bool:
     """Gröbner certificate: every input generator and every S-polynomial
     of the basis reduces to zero against the basis."""
-    reducers = [_reducer(b, key) for b in basis]
-    for g in gens:
-        if g and _reduce(g, reducers, key)[0]:
-            return False
-    for j, b in enumerate(reducers):
-        for a in reducers[:j]:
-            if _reduce(_spoly(a, b, mono_lcm(a[0], b[0])), reducers, key)[0]:
-                return False
-    return True
+    def run(layout, packed):
+        reducers = [_reducer(b) for b in packed[:len(basis)]]
+        spolys = (_spoly(a, b, _lcm(a[0], b[0], layout)) for j, b in enumerate(reducers) for a in reducers[:j])
+        return not any(_reduce(g, reducers, layout.guard)[0] for g in chain(packed[len(basis):], spolys))
+
+    gens = [g for g in gens if g]
+    return _widening(order, [*basis, *gens], run) if basis else not gens
 
 
 def dimension(basis: list[Epoly], nvars: int, key) -> int:

@@ -35,6 +35,7 @@ systems are all the unit ideal. A nonconstant content c makes q = c*(q/c)
 reducible, so the first v decides. It also settles a member's squarefree
 split: q/c is irreducible and prime to c, which is free of v, so the
 parts of q are those of the smaller c, with q/c joined to multiplicity 1.
+A member that is its own one part keeps the content already found for it.
 
 Next, at a bound of 1 or more, _linear_factor finds the monic linear
 factor the degree-1 search would split off, with no Gröbner system. For
@@ -61,6 +62,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd as igcd, isqrt, prod
+from operator import add, le, sub
 
 from . import _engine
 from .poly import (MAX_COEFF_BITS, MAX_TERM_PAIRS, Monomial, Poly, SquareFreePart, exact_quotient, gcd, grlex_key,
@@ -111,18 +113,22 @@ def _in_slabs(e: Monomial, slabs: list[tuple[Monomial, int, int]]) -> bool:
     return all(lo <= w[0] * e[0] + w[1] * e[1] + w[2] * e[2] <= hi for w, lo, hi in slabs)
 
 
+# graded lex on x, y, z, then lex on the unknowns' slots
+_DIVISION = _engine.order(0, 3)
+
+
 def _division_system(q: Poly, lm3: Monomial, unknowns: list[Monomial]) -> list[dict[tuple, int]]:
     """Remainder of q under division by the symbolic monic factor
     lm3 + sum c_i * unknowns[i], grouped into one integer polynomial in the
-    c's per leftover x,y,z monomial. _engine._reduce divides, with one
+    c's per leftover x,y,z monomial. _engine.normal_form divides, with one
     exponent slot per c_i after x,y,z, under graded lex on x,y,z with the
     c slots breaking ties. q enters as its integer numerators: a constant
     multiple, which leaves the solutions of the system as they are."""
     n = len(unknowns)
     pad = (0,) * n
-    tail = [(u + tuple(int(k == i) for k in range(n)), 1) for i, u in enumerate(unknowns)]
+    divisor = {lm3 + pad: 1, **{u + tuple(int(k == i) for k in range(n)): 1 for i, u in enumerate(unknowns)}}
     work = {m + pad: c for m, c in q._num.items()}
-    rem, _ = _engine._reduce(work, [(lm3 + pad, 1, tail)], lambda k: (k[0] + k[1] + k[2], k))
+    rem, _ = _engine.normal_form(work, [divisor], _DIVISION)
     grouped: dict[Monomial, dict[tuple, int]] = {}
     for k, c in rem.items():
         grouped.setdefault(k[:3], {})[k[3:]] = c
@@ -135,12 +141,12 @@ def _ansatz_search(q: Poly, d: int, slabs: list[tuple[Monomial, int, int]]) -> t
     when a candidate system had solutions over an extension field only."""
     proper_seen = False
     qlm = q.leading_monomial()
-    candidates = [m for m in _monomials_upto(d) if sum(m) == d and _engine.mono_divides(m, qlm)]
+    candidates = [m for m in _monomials_upto(d) if sum(m) == d and all(map(le, m, qlm))]
     candidates.sort(key=grlex_key, reverse=True)
     for m in candidates:
-        lv = _engine.mono_sub(qlm, m)  # lead of the cofactor
+        lv = tuple(map(sub, qlm, m))  # lead of the cofactor
         unknowns = [mm for mm in _monomials_upto(d) if grlex_key(mm) < grlex_key(m)
-                    and _in_slabs(_engine.mono_add(mm, lv), slabs)]
+                    and _in_slabs(tuple(map(add, mm, lv)), slabs)]
         unknowns.sort(key=grlex_key, reverse=True)
         system = _division_system(q, m, unknowns)
         if not system:
@@ -245,18 +251,27 @@ def _linear_factor(q: Poly) -> tuple[Poly, Poly] | None:
 
 
 def _whole(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
-    """What _factor_squarefree returns for an absolutely irreducible q,
-    whose ansatz systems are all the unit ideal."""
+    """What the search returns for an absolutely irreducible q, whose
+    ansatz systems are all the unit ideal."""
     deg = q.total_degree()
     done = deg == 1 or bound >= (deg + 1) // 2
     return [(q, done)], done
 
 
+def _factor_part(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
+    """_factor_squarefree of a monic squarefree q whose linear content is
+    not yet known."""
+    if q.total_degree() > 1 and _linear_content(q) == 1:
+        return _whole(q, bound)
+    return _factor_squarefree(q, bound)
+
+
 def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
-    """Split monic squarefree q into irreducibles over Q within the degree
-    bound; returns (factors with absolute-irreducibility flags, complete)."""
+    """Split monic squarefree q, whose linear content is not 1, into
+    irreducibles over Q within the degree bound; returns (factors with
+    absolute-irreducibility flags, complete)."""
     deg = q.total_degree()
-    if deg == 1 or _linear_content(q) == 1:
+    if deg == 1:
         return _whole(q, bound)
     seen_proper = False
     found = _linear_factor(q) if bound else None
@@ -273,8 +288,8 @@ def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bo
         assert cof is not None
         # u is irreducible over Q and deg(u) <= bound, so this search
         # finds no factor and its flag is u's certificate
-        head, _ = _factor_squarefree(u, bound)
-        tail, complete = _factor_squarefree(cof.monic(), bound)
+        head, _ = _factor_part(u, bound)
+        tail, complete = _factor_part(cof.monic(), bound)
         return head + tail, complete
     if bound >= (deg + 1) // 2:
         # searched everything a factorization would need: irreducible over Q
@@ -307,7 +322,10 @@ def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
     else:
         unit, squarefree = (squarefree_decomposition(shifted) if content is None
                             else _squarefree_by_content(shifted, content))
-        split = [(sq.multiplicity, *_factor_squarefree(sq.factor, max_total_degree)) for sq in squarefree]
+        # a member that is its own one part has the content found above
+        known = len(squarefree) == 1 and squarefree[0].multiplicity == 1
+        split_one = _factor_squarefree if known else _factor_part
+        split = [(sq.multiplicity, *split_one(sq.factor, max_total_degree)) for sq in squarefree]
     parts += [FactorPart(fac, mult, certified) for mult, pieces, _ in split for fac, certified in pieces]
     assert prod((q.factor**q.multiplicity for q in parts), start=Poly.constant(unit)) == p, f"not the factors of {p}"
     return Factorization(unit, tuple(parts), all(complete for _, _, complete in split))

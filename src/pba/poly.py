@@ -33,7 +33,7 @@ from math import gcd as igcd, lcm, log2
 from operator import mul
 from typing import Iterable, Iterator, Union
 
-from ._engine import Mono, buchberger, grlex_key, substitute
+from ._engine import buchberger, grlex_key, order, substitute
 
 Monomial = tuple[int, int, int]
 ScalarLike = Union[Fraction, int]
@@ -527,9 +527,8 @@ def _gcd_heu(a: Terms, b: Terms) -> Union[Terms, None]:
     return None
 
 
-def _elimination_key(m: Mono):
-    # t (slot 0) first, then graded lex on x, y, z
-    return (m[0], m[1] + m[2] + m[3], m[1:])
+# t (slot 0) first, then graded lex on x, y, z
+_ELIMINATION = order(1, None)
 
 
 def _gcd_by_lcm(p: Poly, q: Poly) -> Poly:
@@ -545,7 +544,7 @@ def _gcd_by_lcm(p: Poly, q: Poly) -> Poly:
     tp = {(1,) + m: n for m, n in p._num.items()}
     tq = {(0,) + m: n for m, n in q._num.items()}
     tq.update({(1,) + m: -n for m, n in q._num.items()})
-    free = [b for b in buchberger([tp, tq], _elimination_key) if not any(m[0] for m in b)]
+    free = [b for b in buchberger([tp, tq], _ELIMINATION) if not any(m[0] for m in b)]
     if len(free) != 1:
         raise ArithmeticError(f"<{p}> meet <{q}> has {len(free)} generators")
     g = exact_quotient(p * q, Poly._make({m[1:]: n for m, n in free[0].items()}))

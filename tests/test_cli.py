@@ -250,6 +250,20 @@ def test_stress_rows_answer_in_bounded_time(golden, s):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("golden, s", [
+    ("huge_exponent_monomial.json", "x^100000000000000000000*y + z^2"),
+    ("huge_exponent_unit.json", "x^100000000000000000000 + y"),
+])
+def test_huge_exponents_answer_exactly(golden, s):
+    # 67-bit exponents reach the residually null basis, past the engine's
+    # first field width
+    start = time.perf_counter()
+    code, out, err = run_cli("spectrum", "--s", s, "--params", "1:0,1:1", "--json")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_spectrum_large_linear_eliminant():
     # every eliminant is linear; trial division over the divisors of
     # N = 10^20 would take about 10^10 steps

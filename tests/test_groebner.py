@@ -6,13 +6,14 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
+from operator import le
 
 import pytest
 import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pba import _engine
+from pba import _engine, poly
 from pba._engine import _divisors, univariate_rational_roots
 from pba.factor import _division_system, _monomials_upto
 from pba.groebner import (
@@ -28,6 +29,7 @@ from pba.groebner import (
 )
 from pba.parser import parse
 from pba.poly import Poly, X, Y, Z, grlex_key
+from pba.spectrum import PencilParameter, spectrum_report
 
 SX, SY, SZ = sp.symbols("x y z")
 
@@ -268,7 +270,7 @@ def ansatz_systems(seed: int):
     qlm = q.leading_monomial()
     for d in (1, 2):
         for m in _monomials_upto(d):
-            if sum(m) == d and _engine.mono_divides(m, qlm):
+            if sum(m) == d and all(map(le, m, qlm)):
                 unknowns = [u for u in _monomials_upto(d) if grlex_key(u) < grlex_key(m)]
                 unknowns.sort(key=grlex_key, reverse=True)
                 yield q, m, unknowns, _division_system(q, m, unknowns)
@@ -443,3 +445,68 @@ nonzero_small = st.fractions(min_value=-6, max_value=6, max_denominator=6).filte
 @settings(max_examples=200)
 def test_quadratic_roots_match_trial_division(coeffs):
     assert univariate_rational_roots(coeffs) == trial_division_roots(coeffs)
+
+
+def _engine_calls(monkeypatch):
+    """Every buchberger and normal_form call of the engine, with its answer,
+    made by spectrum reports on 20 seeded pencils (residually null ideals,
+    ansatz systems and their rational points) and by the lcm fallback of
+    the gcd on their members and derivatives."""
+    calls = []
+
+    def recording(f):
+        def call(*args):
+            out = f(*args)
+            calls.append((f, args, out))
+            return out
+        return call
+
+    for module, name in ((_engine, "buchberger"), (_engine, "normal_form"), (poly, "buchberger")):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    rng = random.Random(24)
+    for _ in range(20):
+        s = _random_factor(rng, rng.randint(1, 2)) * _random_factor(rng, 2)
+        t = Poly.one() if rng.random() < 0.5 else _random_factor(rng, 1)
+        if not poly.gcd(s, t).is_constant():
+            continue
+        spectrum_report(s, t, [PencilParameter(1, 0), PencilParameter(1, rng.choice((-1, 1, 2)))], 3)
+        poly._gcd_by_lcm(s, s.derivative(0) + s.derivative(1))
+    monkeypatch.undo()
+    return calls
+
+
+def test_bases_do_not_depend_on_the_field_width(monkeypatch):
+    # replayed from the narrowest fields that hold each input, every call
+    # must answer as at the default width, however often it widens
+    calls = _engine_calls(monkeypatch)
+    kinds = Counter(args[-1] for _, args, _ in calls)
+    assert len(calls) > 150 and len(kinds) == 4
+    widths = []
+    layout = _engine._layout
+    monkeypatch.setattr(_engine, "_MIN_BITS", 1)
+    monkeypatch.setattr(_engine, "_layout", lambda *key: widths.append(key) or layout(*key))
+    widened = 0
+    for f, args, out in calls:
+        widths.clear()
+        assert f(*args) == out
+        widened += len(widths) > 1
+    assert widened > 50
+
+
+@pytest.mark.parametrize("gens, basis", [
+    # x^3 by x - y^2 leaves y^6: past the 2 bits that hold the inputs
+    ([X**3, X - Y**2], [X - Y**2, Y**6]),
+    # x = y^2 = z^6 turns x^2 - z into z^12 - z
+    ([X**2 - Z, Y - Z**3, X - Y**2], [X - Z**6, Y - Z**3, Z**12 - Z]),
+    # a 67-bit exponent passes the first width again
+    ([X - Y**(2**66), X**2], [X - Y**(2**66), Y**(2**67)]),
+])
+def test_lex_widens_mid_computation(monkeypatch, gens, basis):
+    widths = []
+    layout = _engine._layout
+    monkeypatch.setattr(_engine, "_MIN_BITS", 1)
+    monkeypatch.setattr(_engine, "_layout", lambda *key: widths.append(key[2]) or layout(*key))
+    G = buchberger(gens, TermOrder.LEX)
+    assert list(G.basis) == basis
+    assert len(widths) > 1 and widths == sorted(widths)
+    assert certify(G)
