@@ -30,7 +30,7 @@ import heapq
 from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from math import gcd as igcd, isqrt, lcm
 from operator import itemgetter, mul
 
@@ -62,14 +62,23 @@ lex_key.block, grlex_key.block = (0, 0), (0, None)
 def substitute(p: Epoly, vi: int, a: int, b: int = 1) -> tuple[Epoly, int]:
     """(b^deg * p with slot vi set to a/b, deg), deg being the largest
     exponent of slot vi in p: an integer polynomial with slot vi zero."""
-    deg = max((m[vi] for m in p), default=0)
-    pa = list(accumulate(repeat(a, deg), mul, initial=1))
-    pb = list(accumulate(repeat(b, deg), mul, initial=1))
+    es = sorted({m[vi] for m in p})
+    deg = es[-1] if es else 0
+    pa, pb = _powers(a, es), _powers(b, [deg - e for e in reversed(es)])
     out: Epoly = {}
     for m, c in p.items():
         k = m[:vi] + (0,) + m[vi + 1:]
         out[k] = out.get(k, 0) + c * pa[m[vi]] * pb[deg - m[vi]]
     return {k: v for k, v in out.items() if v}, deg
+
+
+def _powers(a: int, exponents: list[int]) -> dict[int, int]:
+    """a^e for each e of the ascending exponents, one product per gap."""
+    out, last, power = {}, 0, 1
+    for e in exponents:
+        power *= a ** (e - last)
+        out[e], last = power, e
+    return out
 
 
 _MIN_BITS = 15  # value bits of a field at the first try

@@ -145,6 +145,8 @@ def _cmd_lift(args) -> int:
     except PointSearchError as exc:
         print(f"no certificate: {exc}")
         return 1
+    except ValueError as exc:
+        return _refused(exc)
     coords = ", ".join(str(c) for c in cert.point)
     print(f"cycles: {cert.cycles}")
     print(f"point: ({coords})")

@@ -15,32 +15,35 @@ At weight w the equations give b's coefficients of weight w and d's of
 weight w+1. Each coefficient equation is a sum of products of one b and
 one d coefficient. All but two of them pair b of weight w+1-u with d of
 weight u for some u in 2..w, weights finished before w starts. A slice
-of known weight holds (i, j, k) at index i*S + j, S = weight + 2; no
-exponent reaches S, so a product's index is the sum of its factors'.
-lift_at_origin makes one pass over each such pair of slices and adds
-m[v] * b * d_m into flat lists of sums for v = x, y, z. It runs on ints:
-weights in progress are flat lists of reduced numerator/denominator
-pairs, finished ones integer numerators over one denominator, and the
-sums and f, g, h lie over one denominator per weight. The other two
-products, the unknown's term and the d of weight w+1 against b_000
+of known weight holds its nonzero (i, j, k) at index i*S + j, S = weight
++ 2; no exponent reaches S, so a product's index is the sum of its
+factors'. lift_at_origin makes one pass over each such pair of slices
+and adds m[v] * b * d_m into flat lists of sums for v = x, y, z. It runs
+on ints: weights in progress are dicts of reduced numerator/denominator
+pairs by index, finished ones integer numerators over one denominator,
+and the sums and f, g, h lie over one denominator per weight. The other
+two products, the unknown's term and the d of weight w+1 against b_000
 (x-equation) or the b of weight w against d_010 or d_001 (y, z), fold
-in with the pivot division and one gcd.
+in with the pivot division and one gcd, skipped (the coefficient is 0,
+not stored) when the numerator is zero by its inputs.
 
-A TruncatedSeries is two fields, a Poly with no term above a cap and
-the cap, read directly (series.poly.items(), series.cap). It has one
-operation of its own, the capped product: poly.product_terms of the two
-numerator dicts given the cap. verify_lift compares b * d_v with the
-component truncated at the weight, for v = x, y, z. It shares no code
-with the lift kernel, only the Poly it reads. The lift's independent
-checks are the Fraction recurrence oracle of the tests, the golden files
-and the sympy check of pbabench.
+Each equation fixes its unknown from earlier coefficients, so the lift
+is unique. When h = 0 and f, g are free of z, the lift in x and y with
+the same conventions solves the z-equations too (d_z = 0 = h/b), so it
+is the lift: only the x-equations free of z and the y-equations run.
+
+verify_lift compares b * d_v, the capped product of TruncatedSeries
+(poly.product_terms given the cap), with the component truncated at the
+weight, for v = x, y, z; it shares no code with the kernel. The lift's
+independent checks are the Fraction recurrence oracle of the tests, the
+golden files and the sympy check of pbabench.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm
 from typing import Iterator, Union
 
@@ -50,8 +53,11 @@ from .triples import PolyVec, cycle_variables, ensure_verified, verify_triple
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _ORIGIN = (0, 0, 0)
+_NIL = (0, 1)  # a coefficient the kernel does not store
 
-MAX_WEIGHT = 100  # the lift's time and memory grow with it; 100 takes seconds
+# the lift's time and memory grow with it: at weight 100 a z-free lift
+# takes 0.01 s, a dense one in x, y and z about 4 minutes
+MAX_WEIGHT = 100
 
 
 class PointSearchError(RuntimeError):
@@ -134,13 +140,16 @@ def _ratio(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
-def _slice(flat: list, u: int, S: int) -> tuple[list, int]:
-    """Weight u of flat as nonzero (index, i, j, k, numerator) over one
-    lcm, and that lcm."""
-    terms = [(i * S + j, i, j, u - i - j) for i in range(u, -1, -1) for j in range(u - i, -1, -1)]
-    pairs = [flat[t[0]] for t in terms]
-    den = lcm(*[q for _, q in pairs])
-    return [(*t, n * (den // q)) for t, (n, q) in zip(terms, pairs) if n], den
+def _slice(flat: dict, u: int, S: int) -> tuple[list, int]:
+    """Weight u of flat, (numerator, denominator) pairs by index, as nonzero
+    (index, i, j, k, numerator) over one lcm, and that lcm."""
+    den = lcm(*[q for _, q in flat.values()])
+    out = []
+    for x, (n, q) in flat.items():
+        if n:
+            i, j = divmod(x, S)
+            out.append((x, i, j, u - i - j, n * (den // q)))
+    return out, den
 
 
 def _from_slices(slices) -> Poly:
@@ -169,17 +178,16 @@ def lift_at_origin(F, weight: int) -> LiftResult:
     f0n, f0d = _ratio(fn[_ORIGIN], fden)
     yn, yd = _ratio(gn[_ORIGIN] * f0d, gden * f0n)
     zn, zd = _ratio(hn.get(_ORIGIN, 0) * f0d, hden * f0n)
-    d1 = [(zn, zd), (yn, yd)] + [None] * (S - 2) + [(1, 1)]
+    z_free = not hn and not any(m[2] for m in chain(fn, gn))
 
     # Finished weights: bw[u] and dw[u] are _slice of weight u of b and d.
-    bw = [_slice([(f0n, f0d)], 0, S)]
-    dw = [_slice([(0, 1)], 0, S), _slice(d1, 1, S)]
+    bw = [_slice({0: (f0n, f0d)}, 0, S)]
+    dw = [_slice({}, 0, S), _slice({0: (zn, zd), 1: (yn, yd), S: (1, 1)}, 1, S)]
 
     for w in range(1, weight + 1):
-        # b of weight w and d of weight w+1 by index
+        # b of weight w and d of weight w+1 by index; an index not stored is 0
         size = (w + 2) * S
-        b, d = [None] * size, [None] * size
-        d[(w + 1) * S] = (0, 1)
+        b, d = {}, {}
         # ax[M], M of weight w+1, is den times the sum of m[0] * b_(M-m) * d_m
         # over the m of weight u in 2..w; ay (M free of z), az: m[1], m[2]
         den = lcm(fden, gden, hden, *(bw[w + 1 - u][1] * dw[u][1] for u in range(2, w + 1)))
@@ -203,27 +211,29 @@ def lift_at_origin(F, weight: int) -> LiftResult:
 
         for i in range(w, -1, -1):
             rem = w - i
-            for j in range(rem, -1, -1):
-                k = rem - j
+            for j in (rem,) if z_free else range(rem, -1, -1):
                 x = i * S + j
                 # b_ijk from the x-equation at (i,j,k); its own term has
                 # factor d_100 = 1, and d_(i+1)jk is the one of weight w+1
-                s = fn.get((i, j, k), 0) * fs - ax[x + S]
-                dn, dd = d[x + S]
-                b[x] = _ratio(s * f0d * dd - (i + 1) * f0n * dn * den, den * f0d * dd)
+                s = fn.get((i, j, rem - j), 0) * fs - ax[x + S]
+                dn, dd = d.get(x + S, _NIL)
+                if s or dn:
+                    b[x] = _ratio(s * f0d * dd - (i + 1) * f0n * dn * den, den * f0d * dd)
             j = rem
             x = i * S + j
             # d_i(j+1)0 from the y-equation at (i,j,0); pivot (j+1)*f0
             s = gn.get((i, j, 0), 0) * gs - ay[x + 1]
-            bn, bd = b[x]
-            d[x + 1] = _ratio((s * bd * yd - bn * yn * den) * f0d, den * bd * yd * (j + 1) * f0n)
-            for k in range(rem + 1):
+            bn, bd = b.get(x, _NIL)
+            if s or bn:
+                d[x + 1] = _ratio((s * bd * yd - bn * yn * den) * f0d, den * bd * yd * (j + 1) * f0n)
+            for k in () if z_free else range(rem + 1):
                 j = rem - k
                 x = i * S + j
                 # d_ij(k+1) from the z-equation at (i,j,k); pivot (k+1)*f0
                 s = hn.get((i, j, k), 0) * hs - az[x]
-                bn, bd = b[x]
-                d[x] = _ratio((s * bd * zd - bn * zn * den) * f0d, den * bd * zd * (k + 1) * f0n)
+                bn, bd = b.get(x, _NIL)
+                if s or bn and zn:
+                    d[x] = _ratio((s * bd * zd - bn * zn * den) * f0d, den * bd * zd * (k + 1) * f0n)
         bw.append(_slice(b, w, S))
         dw.append(_slice(d, w + 1, S))
 

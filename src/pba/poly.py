@@ -43,6 +43,8 @@ Terms = dict[Monomial, int]
 VARS = ("x", "y", "z")
 
 _ORIGIN_MONO: Monomial = (0, 0, 0)
+# the text of v^e and a '*' after it, by variable and exponent e < 32
+_POWERS = tuple(("", f"{v}*", *(f"{v}^{e}*" for e in range(2, 32))) for v in VARS)
 
 
 def int_text(n: int) -> str:
@@ -265,22 +267,29 @@ class Poly:
     def translate(self, point: Iterable[ScalarLike]) -> "Poly":
         """Shift of variables: self(x+a, y+b, z+c) for point (a, b, c). Per
         variable, with a = p/q and top its largest exponent, n*v^e becomes
-        sum_r n*C(e, r)*p^(e-r)*q^(top-e+r)*v^r over q^top."""
+        sum_r n*C(e, r)*p^(e-r)*q^(top-e+r)*v^r over q^top. A ValueError
+        refuses a shift whose term pairs or bits pass bound_error."""
         num, den = self._num, self._den
-        for vi, a in enumerate(point):
-            if a and num:
-                top = max(m[vi] for m in num)
-                pp = list(accumulate(repeat(a.numerator, top), mul, initial=1))
-                qp = list(accumulate(repeat(a.denominator, top), mul, initial=1))
-                out: Terms = {}
-                for m, n in num.items():
-                    e = m[vi]
-                    for r in range(e + 1):  # n is the term's n*C(e, r)
-                        k = m[:vi] + (r,) + m[vi + 1:]
-                        out[k] = out.get(k, 0) + n * pp[e - r] * qp[top - e + r]
-                        n = n * (e - r) // (r + 1)
-                num = {m: c for m, c in out.items() if c}
-                den *= qp[top]
+        point = tuple(point)
+        moved = [(vi, a.numerator, a.denominator, max(m[vi] for m in num)) for vi, a in enumerate(point) if a and num]
+        if moved:
+            sx, sy, sz = map(bool, point)
+            note = bound_error(sum((i * sx + 1) * (j * sy + 1) * (k * sz + 1) for i, j, k in num), _coeff_bits(self) + sum(
+                log2(top + 1) + top * (1 + log2(max(abs(p), q) * q)) for _, p, q, top in moved))
+            if note:
+                raise ValueError(f"translate: {note}")
+        for vi, p, q, top in moved:
+            pp = list(accumulate(repeat(p, top), mul, initial=1))
+            qp = list(accumulate(repeat(q, top), mul, initial=1))
+            out: Terms = {}
+            for m, n in num.items():
+                e = m[vi]
+                for r in range(e + 1):  # n is the term's n*C(e, r)
+                    k = m[:vi] + (r,) + m[vi + 1:]
+                    out[k] = out.get(k, 0) + n * pp[e - r] * qp[top - e + r]
+                    n = n * (e - r) // (r + 1)
+            num = {m: c for m, c in out.items() if c}
+            den *= qp[top]
         return Poly._make(num, den)
 
     def substitute_exponents(self, perm: tuple[int, int, int]) -> "Poly":
@@ -308,42 +317,47 @@ class Poly:
     def __str__(self):
         # canonical text: graded-lex descending, reduced coefficients,
         # explicit '*', '^' only for exponents above 1
-        if not self._num:
+        num, den = self._num, self._den
+        if not num:
             return "0"
+        x, y, z = _POWERS
         parts: list[str] = []
-        for mono in sorted(self._num, key=grlex_key, reverse=True):
-            n = self._num[mono]
-            g = igcd(n, self._den)
-            a, d = abs(n) // g, self._den // g
-            mag = f"{int_text(a)}/{int_text(d)}" if d != 1 else int_text(a)
-            body = "*".join(v if e == 1 else f"{v}^{int_text(e)}" for v, e in zip(VARS, mono) if e)
-            text = mag if not body else body if mag == "1" else f"{mag}*{body}"
-            if not parts:
-                parts.append(text if n > 0 else f"-{text}")
-            else:
-                parts.append(f"+ {text}" if n > 0 else f"- {text}")
-        return " ".join(parts)
+        for _, i, j, k in sorted([(i + j + k, i, j, k) for i, j, k in num], reverse=True):
+            n = num[i, j, k]
+            g = igcd(n, den)
+            a, d = abs(n) // g, den // g
+            mag = int_text(a) if d == 1 else f"{int_text(a)}/{int_text(d)}"
+            body = (x[i] if i < 32 else f"x^{int_text(i)}*") + (y[j] if j < 32 else f"y^{int_text(j)}*") + (
+                z[k] if k < 32 else f"z^{int_text(k)}*")
+            text = mag if not body else body[:-1] if mag == "1" else f"{mag}*{body[:-1]}"
+            parts.append(f"+ {text}" if n > 0 else f"- {text}")
+        text = " ".join(parts)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
 def product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int], cap: Union[int, None] = None) -> Terms:
     """The nonzero terms of the product of the integer term maps a and b;
-    given a cap, only those of total degree <= cap."""
+    given a cap, only those of total degree <= cap, each monomial packed
+    into one int of three cap.bit_length()-bit fields, which no exponent of
+    a kept term overflows (Monagan & Pearce, CASC 2007)."""
     acc = {}
     if cap is None:
         for (a0, a1, a2), x in a.items():
             for (b0, b1, b2), y in b.items():
                 m = (a0 + b0, a1 + b1, a2 + b2)
                 acc[m] = acc.get(m, 0) + x * y
-    else:
-        right = sorted((b0 + b1 + b2, (b0, b1, b2), y) for (b0, b1, b2), y in b.items())
-        for (a0, a1, a2), x in a.items():
-            room = cap - a0 - a1 - a2
-            for e, (b0, b1, b2), y in right:
-                if e > room:
-                    break
-                m = (a0 + b0, a1 + b1, a2 + b2)
-                acc[m] = acc.get(m, 0) + x * y
-    return {m: n for m, n in acc.items() if n}
+        return {m: n for m, n in acc.items() if n}
+    B = cap.bit_length()
+    right = sorted((b0 + b1 + b2, (b0 << B | b1) << B | b2, y) for (b0, b1, b2), y in b.items())
+    for (a0, a1, a2), x in a.items():
+        room, p = cap - a0 - a1 - a2, (a0 << B | a1) << B | a2
+        for e, q, y in right:
+            if e > room:
+                break
+            m = p + q
+            acc[m] = acc.get(m, 0) + x * y
+    mask = (1 << B) - 1
+    return {(m >> B >> B, m >> B & mask, m & mask): n for m, n in acc.items() if n}
 
 
 # -- bounds on products ------------------------------------------------

@@ -445,6 +445,28 @@ def test_lift_point_search_failure():
     assert "no certificate" in out
 
 
+def test_lift_at_the_origin_of_a_huge_power_answers_at_once():
+    start = time.perf_counter()
+    code, out, err = run_cli("lift", "--f", "1 + x^1000000000", "--g", "1", "--h", "0", "--weight", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, err) == (0, "")
+    assert out == (
+        "cycles: 0\npoint: (0, 0, 0)\nb (degree <= 1): 1\nd (degree <= 2): x + y\n"
+        "conventions: d[0,0,0]=0 d[1,0,0]=1 d[2,0,0]=0\ncongruence through degree 1: verified\n"
+    )
+
+
+@pytest.mark.parametrize("f, note", [
+    ("x^100000", "term pairs times coefficient bits past 8589934592"),
+    ("x^1000000", "expansion past 1000000 term pairs"),
+])
+def test_lift_refuses_a_shift_past_the_product_bounds(f, note):
+    start = time.perf_counter()
+    code, out, err = run_cli("lift", "--f", f, "--g", "1", "--h", "0", "--weight", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out, err) == (2, "", f"error: translate: {note}\n")
+
+
 def test_corpus_bundled_passes():
     code, out, _ = run_cli("corpus", "run")
     assert code == 0

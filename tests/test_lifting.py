@@ -489,3 +489,68 @@ def test_ratio_is_reduced_over_a_positive_denominator():
     assert pba.lifting._ratio(3, -6) == (-1, 2)
     assert pba.lifting._ratio(-4, -6) == (2, 3)
     assert pba.lifting._ratio(0, -5) == (0, 1)
+
+
+xy_monos = st.tuples(st.integers(0, 3), st.integers(0, 3), st.just(0))
+
+
+@given(
+    st.dictionaries(xy_monos, small, max_size=4), st.dictionaries(xy_monos, small, max_size=4),
+    units, units, st.integers(0, 14),
+)
+@settings(max_examples=25, deadline=None)
+def test_z_free_lift_matches_fraction_recurrence(fx, gx, f0, g0, weight):
+    # h = 0 and f, g free of z: Poisson for any f and g, and the lift is
+    # the one in x and y alone
+    f = Poly(fx) - Poly(fx).constant_term() + f0
+    g = Poly(gx) - Poly(gx).constant_term() + g0
+    T = verify_triple(PolyVec(f, g, Poly.zero()))
+    result = lift_at_origin(T, weight)
+    assert_matches_oracle(T, result, weight)
+    assert verify_lift(result, T)
+
+
+@pytest.mark.parametrize("F", [
+    PolyVec(1 + X + Z, 2 + 2 * X + 2 * Z, Poly.zero()),  # h = 0, z in f and g
+    PolyVec(1 + Y, 1 + X, Poly.one()),  # f and g free of z, h != 0
+    PolyVec(1 + Y, 1 + X, 1 + 2 * Z),  # the same, with d_002 = 1
+])
+def test_lift_near_the_z_free_case_keeps_its_z_terms(F):
+    T = verify_triple(F)
+    result = lift_at_origin(T, 6)
+    assert_matches_oracle(T, result, 6)
+    assert any(m[2] for s in (result.b, result.d) for m, _ in s.poly.items())
+
+
+class CountingTerms(dict):
+    """A term dict that counts the coefficients looked up in it."""
+
+    looked_up = 0
+
+    def get(self, key, default=None):
+        self.looked_up += 1
+        return super().get(key, default)
+
+
+def test_z_free_lift_solves_only_its_x_y_coefficients():
+    f = Poly._make(CountingTerms((1 + X * Y - Y**2)._num))
+    h = Poly._make(CountingTerms())
+    T = verify_triple(PolyVec(f, 1 + X, h))
+    f._num.looked_up = 0
+    result = lift_at_origin(T, 30)
+    # each constant term, then the x-equation at the w + 1 monomials of
+    # weight w free of z and no z-equation
+    assert (f._num.looked_up, h._num.looked_up) == (1 + sum(w + 1 for w in range(1, 31)), 1)
+    assert result == lift_at_origin(PolyVec(1 + X * Y - Y**2, 1 + X, Poly.zero()), 30)
+
+
+def test_lift_skips_pivots_that_are_zero_by_their_inputs(monkeypatch):
+    T = verify_triple(PolyVec(2 * Y - 1, Poly.one(), Poly.zero()))
+    calls = []
+    real = pba.lifting._ratio
+    monkeypatch.setattr(pba.lifting, "_ratio", lambda n, d: calls.append(n) or real(n, d))
+    result = lift_at_origin(T, 100)
+    assert (len(result.b.poly), len(result.d.poly)) == (2, 102)
+    # about one division per stored coefficient, not one per x-y monomial
+    assert len(calls) <= 2 * 102
+    assert_matches_oracle(T, lift_at_origin(T, 8), 8)

@@ -129,6 +129,13 @@ def test_str_canonical_form():
     assert str(X + Y + 1) == "x + y + 1"
 
 
+def test_str_power_text_around_the_table():
+    assert str(X**31 * Y - 2 * Z**32) == "x^31*y - 2*z^32"
+    assert str(Y**32 / 3 - X**31 + X) == "1/3*y^32 - x^31 + x"
+    e = 10**4300  # past the digit limit of str
+    assert str(X**e * Y**31 * Z**32 - Z) == f"x^1{'0' * 4300}*y^31*z^32 - z"
+
+
 def test_pow():
     assert X**0 == 1
     assert (X + Y) ** 2 == X**2 + 2 * X * Y + Y**2
@@ -144,6 +151,31 @@ def test_product_pins():
     assert (X + Fraction(1, 7)) * Poly.zero() == Poly.zero()
     assert (Poly.zero() * (X + 1)).is_zero()
     assert Poly.constant(Fraction(-2, 3)) * (X / 5 + 1) == -2 * X / 15 - Fraction(2, 3)
+
+
+CAPS = (0, 1, 3, 4, 7, 8, 15, 16, 101)
+
+
+def truncated(terms: dict, cap: int) -> dict:
+    return {m: n for m, n in terms.items() if sum(m) <= cap}
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_capped_product_pins(cap):
+    # exponents equal to the cap in each slot, and terms above it
+    a = {(cap, 0, 0): 2, (0, cap, 0): -3, (0, 0, cap): 5, (0, 0, 0): 1, (cap + 1, 0, 0): 7, (1, 1, cap): 4}
+    b = {(0, 0, 0): -1, (0, 0, cap): 6, (1, 0, 0): 3, (0, cap + 1, 0): 9}
+    assert poly.product_terms(a, b, cap) == truncated(poly.product_terms(a, b), cap)
+    assert poly.product_terms(b, a, cap) == truncated(poly.product_terms(a, b), cap)
+
+
+@given(st.sampled_from(CAPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_capped_product_is_the_truncated_product(cap, data):
+    e = st.integers(0, cap + 2) | st.sampled_from((0, 1, cap, cap + 1))
+    terms = st.dictionaries(st.tuples(e, e, e), st.integers(-9, 9).filter(bool), max_size=8)
+    a, b = data.draw(terms), data.draw(terms)
+    assert poly.product_terms(a, b, cap) == truncated(poly.product_terms(a, b), cap)
 
 
 big_coeffs = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -194,6 +226,26 @@ def test_translate_of_a_high_power_is_fast():
     assert time.perf_counter() - start < 1
     assert len(p) == 2001
     assert all(p.coeff((r, 0, 0)) == math.comb(2000, r) for r in (0, 1, 7, 1000, 2000))
+
+
+def test_translate_refuses_past_the_product_bounds():
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="translate: expansion past"):
+        (X**1000000).translate((1, 0, 0))
+    with pytest.raises(ValueError, match="translate: term pairs times coefficient bits"):
+        (X**100000 + Y).translate((-1, 2, 0))
+    with pytest.raises(ValueError, match="translate: coefficient past"):
+        (X**10).translate((Fraction(2**30000, 3), 0, 0))
+    assert time.perf_counter() - start < 1
+    # only the shifted variables count
+    assert (X**1000000 + Z).translate((0, 0, 1)) == X**1000000 + Z + 1
+
+
+def test_evaluate_raises_only_the_powers_present():
+    p = 1 + X**(10**9) + X * Y**(10**9 + 1) / 2
+    assert p.evaluate((0, 0, 0)) == 1
+    assert p.evaluate((-1, -1, 7)) == Fraction(5, 2)
+    assert p.evaluate((1, 0, Fraction(1, 3))) == 2
 
 
 def test_substitute_exponents_cycle():
