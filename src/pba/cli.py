@@ -168,7 +168,7 @@ def _cmd_corpus(args) -> int:
         try:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             print(f"error: cannot read corpus: {exc}", file=sys.stderr)
             return 2
     try:

@@ -1,19 +1,45 @@
 """Bounded factorization over Q by undetermined coefficients.
 
-After monomial extraction and squarefree decomposition, each squarefree
-part is searched degree by degree: a monic ansatz factor with one unknown
-(ring variable) per coefficient divides the target in the engine's
-reduction routine, and the remainder's vanishing is a system solved with
-the Gröbner engine.
+factor_bounded strips the monomial factors of p, takes the squarefree
+parts, and hands each monic part q to _split, which runs its deciders in
+a fixed order: the linear content, the linear factor, the ansatz search.
+A factor found is split again, and so is its cofactor.
 
-Degrees up to floor(deg/2) find a factor whenever one exists; the result
-is complete only when the bound reaches ceil(deg/2) for every cofactor.
-The same systems decide absolute irreducibility: a unit ideal at every
-degree means no factor over any extension field; a proper ideal with no
-rational point (e.g. x^2 - 2) leaves the factor irreducible over Q but
-not certified absolutely irreducible. Most systems are the unit ideal,
-which a graded-lex basis shows far sooner than a lex one, so lex, which
-the rational solver needs, is computed only for a proper ideal.
+The linear content. Write q = a*v + b, v the first variable of degree 1
+in q and a, b free of v. _linear_content returns gcd(a, b), dividing
+before any gcd: a constant a gives 1, an a dividing b gives a, and a
+linear a not dividing b gives 1. Content 1 means q has no proper factor
+over any field: a factor free of v would divide a and b, and one of
+v-degree 1 leaves a cofactor free of v. Such a q is left whole with the
+result the search would give, whose systems are all the unit ideal. A
+nonconstant content c makes q = c*(q/c) reducible, so the first v
+decides. The member's content also settles its squarefree parts: q/c is
+irreducible and prime to c, which is free of v, so the parts of q are
+those of the smaller c, with q/c joined to multiplicity 1. A member that
+is its own one part keeps the content already found for it.
+
+The linear factor. At a bound of 1 or more, _linear_factor finds the
+monic linear factor the degree-1 search would split off, with no Gröbner
+system. For each lead v dividing lm(q), in the search's order, q is
+restricted to the line that holds the other variables at _BASE. If
+l = v + sum a_w*w + c divides q = l*h, l meets the line at a rational root
+of that restriction, and there grad q = h*grad l. At a simple root
+h = dq/dv is nonzero, so a_w = (dq/dw)/(dq/dv): every factor led by v is
+a candidate, and exact division keeps the true ones. The least
+coefficient tuple kept is the least rational point of that lead's
+system, the one the search returns. A zero line, a multiple root, or a
+root search or root past its bound gives None, and the search decides.
+
+The ansatz search. Degree by degree, a monic ansatz factor with one
+unknown (ring variable) per coefficient divides q in the engine's
+reduction routine, and the remainder's vanishing is a system solved with
+the Gröbner engine. Degrees up to floor(deg/2) find a factor whenever one
+exists. Most systems are the unit ideal, which a graded-lex basis shows
+far sooner than a lex one, so lex, which the rational solver needs, is
+computed only for a proper ideal. A unit ideal at every degree means no
+factor over any extension field; a proper ideal with no rational point
+(e.g. x^2 - 2) leaves the factor irreducible over Q but not certified
+absolutely irreducible.
 
 Each ansatz keeps only the unknowns that Newton polytopes allow. By
 Ostrowski's theorem Newt(u*v) = Newt(u) + Newt(v), so for a factor u with
@@ -22,38 +48,13 @@ monomial e of u has e + lm(q) - m in Newt(q). This holds over any field,
 so the dropped coefficients vanish at every point of the full system and
 neither the rational factors nor the proper-ideal flag change. Newt(q)
 lies within its min/max slabs along the primitive directions in
-{-2..2}^3, computed once per q.
+{-2..2}^3, computed once per q that is searched.
 
-Before any search, a member and then each part and cofactor is split as
-q = a*v + b, v the first variable of degree 1 in q and a, b free of v.
-_linear_content returns gcd(a, b), dividing before any gcd: a constant a
-gives 1, an a dividing b gives a, and a linear a not dividing b gives 1.
-Content 1 means q has no proper factor over any field: a factor free of v
-would divide a and b, and one of v-degree 1 leaves a cofactor free of v.
-Such a q is left whole with the result the search would give, whose
-systems are all the unit ideal. A nonconstant content c makes q = c*(q/c)
-reducible, so the first v decides. It also settles a member's squarefree
-split: q/c is irreducible and prime to c, which is free of v, so the
-parts of q are those of the smaller c, with q/c joined to multiplicity 1.
-A member that is its own one part keeps the content already found for it.
-
-Next, at a bound of 1 or more, _linear_factor finds the monic linear
-factor the degree-1 search would split off, with no Gröbner system. For
-each lead v dividing lm(q), in the search's order, q is restricted to the
-line that holds the other variables at _BASE. If l = v + sum a_w*w + c
-divides q = l*h, l meets the line at a rational root of that restriction,
-and there grad q = h*grad l. At a simple root h = dq/dv is nonzero, so
-a_w = (dq/dw)/(dq/dv): every factor led by v is a candidate, and exact
-division keeps the true ones. The least coefficient tuple kept is the
-least rational point of that lead's system, the one the search returns.
-A zero line, a multiple root, or a root search or root past its bound
-gives None, and the search then runs from degree 1 as before. It returns
-the cofactor with the factor. The order is thus: linear content, linear
-factor, search.
-
-Otherwise certification comes from the flag that _ansatz_search returns: a
-part left whole is certified when no degree searched met a proper ideal,
-and a factor split off by running the same search on it alone.
+A part left whole. It is irreducible over Q, and the result complete,
+when deg q is 1 or the bound reaches ceil(deg/2); it is then certified
+absolutely irreducible unless a degree searched met a proper ideal. A
+factor split off has degree within the bound, so its own search finds no
+factor and certifies it the same way.
 """
 
 from __future__ import annotations
@@ -63,6 +64,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd as igcd, isqrt, prod
 from operator import add, le, sub
+from types import EllipsisType
 
 from . import _engine
 from .poly import (MAX_COEFF_BITS, MAX_TERM_PAIRS, Monomial, Poly, SquareFreePart, exact_quotient, gcd, grlex_key,
@@ -141,12 +143,12 @@ def _ansatz_search(q: Poly, d: int, slabs: list[tuple[Monomial, int, int]]) -> t
     when a candidate system had solutions over an extension field only."""
     proper_seen = False
     qlm = q.leading_monomial()
-    candidates = [m for m in _monomials_upto(d) if sum(m) == d and all(map(le, m, qlm))]
+    monos = _monomials_upto(d)
+    candidates = [m for m in monos if sum(m) == d and all(map(le, m, qlm))]
     candidates.sort(key=grlex_key, reverse=True)
     for m in candidates:
         lv = tuple(map(sub, qlm, m))  # lead of the cofactor
-        unknowns = [mm for mm in _monomials_upto(d) if grlex_key(mm) < grlex_key(m)
-                    and _in_slabs(tuple(map(add, mm, lv)), slabs)]
+        unknowns = [mm for mm in monos if grlex_key(mm) < grlex_key(m) and _in_slabs(tuple(map(add, mm, lv)), slabs)]
         unknowns.sort(key=grlex_key, reverse=True)
         system = _division_system(q, m, unknowns)
         if not system:
@@ -180,8 +182,9 @@ def _linear_content(q: Poly) -> Poly | None:
 
 
 def _squarefree_by_content(q: Poly, c: Poly) -> tuple[Fraction, tuple[SquareFreePart, ...]]:
-    """squarefree_decomposition(q) for a nonconstant c = _linear_content(q):
-    q/c is irreducible and prime to c, so it joins c's multiplicity-1 part."""
+    """squarefree_decomposition(q) for c = _linear_content(q) not None:
+    q/c is irreducible and prime to c, so it joins c's multiplicity-1 part.
+    A content of 1 leaves q one part: it is irreducible, so squarefree."""
     unit = q.leading_coefficient()
     parts = squarefree_decomposition(c)[1] if c.total_degree() > 1 else ()
     if not parts or parts[0].factor == c:  # c is squarefree, and so is q
@@ -250,51 +253,33 @@ def _linear_factor(q: Poly) -> tuple[Poly, Poly] | None:
     return None
 
 
-def _whole(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
-    """What the search returns for an absolutely irreducible q, whose
-    ansatz systems are all the unit ideal."""
+def _split(q: Poly, bound: int, content: Poly | None | EllipsisType = ...) -> tuple[list[tuple[Poly, bool]], bool]:
+    """Split monic squarefree q into irreducibles over Q within the degree
+    bound; returns (factors with absolute-irreducibility flags, complete).
+    content is _linear_content(q) when the caller has it, else ..., and is
+    then found here if a search would read it."""
     deg = q.total_degree()
-    done = deg == 1 or bound >= (deg + 1) // 2
-    return [(q, done)], done
-
-
-def _factor_part(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
-    """_factor_squarefree of a monic squarefree q whose linear content is
-    not yet known."""
-    if q.total_degree() > 1 and _linear_content(q) == 1:
-        return _whole(q, bound)
-    return _factor_squarefree(q, bound)
-
-
-def _factor_squarefree(q: Poly, bound: int) -> tuple[list[tuple[Poly, bool]], bool]:
-    """Split monic squarefree q, whose linear content is not 1, into
-    irreducibles over Q within the degree bound; returns (factors with
-    absolute-irreducibility flags, complete)."""
-    deg = q.total_degree()
-    if deg == 1:
-        return _whole(q, bound)
-    seen_proper = False
-    found = _linear_factor(q) if bound else None
-    if found is None:
-        slabs = _newton_slabs(q)
-        for d in range(1, min(bound, deg // 2) + 1):
-            u, proper = _ansatz_search(q, d, slabs)
-            seen_proper = seen_proper or proper
-            if u is not None:
-                found = u, exact_quotient(q, u)
-                break
+    found, proper_seen = None, False
+    if deg > 1 and bound and (_linear_content(q) if content is ... else content) != 1:
+        found = _linear_factor(q)
+        if found is None:
+            slabs = _newton_slabs(q)
+            for d in range(1, min(bound, deg // 2) + 1):
+                u, proper = _ansatz_search(q, d, slabs)
+                proper_seen = proper_seen or proper
+                if u is not None:
+                    found = u, exact_quotient(q, u)
+                    break
     if found is not None:
+        # u is irreducible over Q and deg(u) <= bound, so its search finds
+        # no factor and its flag is u's certificate
         u, cof = found
-        assert cof is not None
-        # u is irreducible over Q and deg(u) <= bound, so this search
-        # finds no factor and its flag is u's certificate
-        head, _ = _factor_part(u, bound)
-        tail, complete = _factor_part(cof.monic(), bound)
+        head, _ = _split(u, bound)
+        tail, complete = _split(cof.monic(), bound)
         return head + tail, complete
-    if bound >= (deg + 1) // 2:
-        # searched everything a factorization would need: irreducible over Q
-        return [(q, not seen_proper)], True
-    return [(q, False)], False
+    # left whole: irreducible over Q once the search reaches ceil(deg/2)
+    done = deg == 1 or bound >= (deg + 1) // 2
+    return [(q, done and not proper_seen)], done
 
 
 def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
@@ -306,26 +291,17 @@ def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
         raise ValueError("cannot factor the zero polynomial")
     if max_total_degree < 0:
         raise ValueError("negative degree bound")
-    monomials = list(p._num)
-    mins = [min(m[vi] for m in monomials) for vi in range(3)]
-    parts: list[FactorPart] = []
+    mins = [min(m[vi] for m in p._num) for vi in range(3)]
+    parts = [FactorPart(Poly.variable(vi), a, True) for vi, a in enumerate(mins) if a]
     shifted = p
-    if any(mins):
+    if parts:
         shifted = Poly._make({(m[0] - mins[0], m[1] - mins[1], m[2] - mins[2]): c for m, c in p._num.items()}, p._den)
-        for vi, a in enumerate(mins):
-            if a:
-                parts.append(FactorPart(Poly.variable(vi), a, True))
     content = _linear_content(shifted)
-    if content == 1:  # irreducible, so squarefree
-        unit = shifted.leading_coefficient()
-        split = [(1, *_whole(shifted.monic(), max_total_degree))]
-    else:
-        unit, squarefree = (squarefree_decomposition(shifted) if content is None
-                            else _squarefree_by_content(shifted, content))
-        # a member that is its own one part has the content found above
-        known = len(squarefree) == 1 and squarefree[0].multiplicity == 1
-        split_one = _factor_squarefree if known else _factor_part
-        split = [(sq.multiplicity, *split_one(sq.factor, max_total_degree)) for sq in squarefree]
+    unit, squarefree = (squarefree_decomposition(shifted) if content is None
+                        else _squarefree_by_content(shifted, content))
+    if len(squarefree) > 1 or squarefree and squarefree[0].multiplicity > 1:
+        content = ...  # the parts are not the member: each finds its own
+    split = [(sq.multiplicity, *_split(sq.factor, max_total_degree, content)) for sq in squarefree]
     parts += [FactorPart(fac, mult, certified) for mult, pieces, _ in split for fac, certified in pieces]
     assert prod((q.factor**q.multiplicity for q in parts), start=Poly.constant(unit)) == p, f"not the factors of {p}"
     return Factorization(unit, tuple(parts), all(complete for _, _, complete in split))

@@ -8,6 +8,7 @@ than '*'):
     factor   := base ('^' uint)?
     base     := 'x' | 'y' | 'z' | rational | '(' expr ')'
     rational := uint ('/' uint)?
+    uint     := ('0'..'9')+
 
 A leading '-' is sugar for 0 - expr. '/' is only the rational-constant
 separator; dividing non-constant terms is reported as a dedicated error.
@@ -67,9 +68,13 @@ _LITERAL_BITS = int(MAX_LITERAL_DIGITS * log2(10)) + 1
 
 def rational_literal(value) -> Fraction:
     """Fraction(value), refusing text in exponent notation or longer than
-    MAX_DIGITS characters, which Fraction would expand in full."""
-    if isinstance(value, str) and (len(value) > MAX_DIGITS or "e" in value or "E" in value):
-        raise ValueError(f"rational literal needs no exponent and at most {MAX_DIGITS} characters: {value[:40]!r}")
+    MAX_DIGITS characters, which Fraction would expand in full, and text
+    outside ASCII, whose other digits Fraction would read."""
+    if isinstance(value, str):
+        if len(value) > MAX_DIGITS or "e" in value or "E" in value:
+            raise ValueError(f"rational literal needs no exponent and at most {MAX_DIGITS} characters: {value[:40]!r}")
+        if not value.isascii():
+            raise ValueError(f"rational literal needs ASCII digits: {value[:40]!r}")
     return Fraction(value)
 
 
@@ -130,9 +135,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise ParseError(i, (), "", f"integer literal longer than {MAX_LITERAL_DIGITS} digits")

@@ -120,6 +120,17 @@ def test_spectrum_param_in_exponent_notation_or_too_long_exits_2_quickly(param):
         "height one at (1:1/3):", "height one at (1:7):", "height one at (1:-4):"]
 
 
+@pytest.mark.parametrize("s, params", [("\u00b2", "1:0"), ("x^\u00b2", "1:0"), ("1/\u00b2", "1:0"),
+                                       ("\u0663*x", "1:0"), ("\U0001d7d9", "1:0"), ("x*y + 1", "1:\u0663")],
+                         ids=["superscript", "superscript-exponent", "superscript-denominator",
+                              "arabic-indic", "mathematical-one", "arabic-indic-param"])
+def test_non_ascii_digits_are_a_usage_error(s, params):
+    # the first three ended in a traceback; the others read as 3*x, 1 and 1:3
+    code, out, err = run_cli("spectrum", "--s", s, "--params", params)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --") and err.count("\n") == 1
+
+
 def test_spectrum_deep_nesting_is_a_usage_error():
     code, _, err = run_cli("spectrum", "--s", "(" * 3000 + "x" + ")" * 3000, "--params", "1:0")
     assert code == 2
@@ -597,6 +608,18 @@ def test_corpus_missing_file():
     code, _, err = run_cli("corpus", "run", "--file", "/nonexistent/corpus.json")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\x7fELF\x02\x01\x01\x00\xd0\x00", "error: cannot read corpus: 'utf-8' codec can't decode"),
+    (b"[" * 100_000, "error: corpus is not valid JSON: maximum recursion depth exceeded"),
+], ids=["binary", "deep-nesting"])
+def test_unreadable_corpus_is_a_usage_error(tmp_path, content, message):
+    bad = tmp_path / "corpus.json"
+    bad.write_bytes(content)
+    code, out, err = run_cli("corpus", "run", "--file", str(bad))
+    assert (code, out) == (2, "")
+    assert err.startswith(message) and err.count("\n") == 1
 
 
 def test_corpus_malformed_file(tmp_path):

@@ -137,9 +137,9 @@ def test_factors_of_another_member_do_not_multiply_back(monkeypatch):
     # generate Poisson ideals of qm_exact(x^2, y^2) just as those of
     # x^2 - y^2 do, so only multiplying back tells the two apart
     F = qm_exact_triple(X**2, Y**2)
-    other = factor._factor_squarefree(X**2 - 4 * Y**2, 2)
+    other = factor._split(X**2 - 4 * Y**2, 2)
     assert all(generates_poisson_ideal(F, q) for q, _ in other[0])
-    monkeypatch.setattr(factor, "_factor_squarefree", lambda q, bound: other)
+    monkeypatch.setattr(factor, "_split", lambda q, bound, content: other)
     with pytest.raises(AssertionError):
         factor_bounded(X**2 - Y**2, 2)
 
@@ -369,7 +369,7 @@ def test_squarefree_by_content_is_the_decomposition(draw):
     if q.total_degree() > 5:
         return
     content = _linear_content(q)
-    if content is None or content == 1:
+    if content is None:
         return
     assert _squarefree_by_content(q, content) == squarefree_decomposition(q)
 
@@ -381,6 +381,23 @@ def test_linear_content_divides_before_any_gcd(monkeypatch):
     monkeypatch.setattr(factor, "gcd", no_gcd)
     assert str(_linear_content(parse("(x + y + 1)*(y + z + 2)"))) == "y + z + 2"
     assert _linear_content(parse("x*y + z + 1")) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "(x + y + 1)*(y + z + 2)",  # its own one part, with content y + z + 2
+    "(x^2 + y^2 + 1)*(x^2 - z^2 + 2)",  # its own one part, no variable of degree 1
+    "(x + y + 1)^2*(x*z + y + 2)*(x^2 + y^2 + 1)*(y + z + 2)",
+])
+@pytest.mark.parametrize("bound", [0, 1, 2, 3])
+def test_each_linear_content_is_computed_once(monkeypatch, text, bound):
+    # the member's content settles its squarefree split, and a member that
+    # is its own one part keeps it for the search
+    seen = []
+    real = factor._linear_content
+    monkeypatch.setattr(factor, "_linear_content", lambda q: seen.append(q.monic()) or real(q))
+    p = parse(text)
+    assert rebuild(factor_bounded(p, bound)) == p
+    assert seen[0] == p.monic() and len(seen) == len(set(seen))
 
 
 def _factor_upto_2(max_terms=3):

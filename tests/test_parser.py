@@ -18,6 +18,7 @@ from pba.parser import (
     ParseError,
     _power_cost,
     parse,
+    rational_literal,
     render,
 )
 from pba.poly import Poly, X, Y, Z, int_text
@@ -62,6 +63,24 @@ def test_parse_error_offsets():
 def test_parse_error_messages_name_the_offset():
     with pytest.raises(ParseError, match="offset 2"):
         parse("x^")
+
+
+@pytest.mark.parametrize("text, offset", [("\u00b2", 0), ("x^\u00b2", 2), ("1/\u00b2", 2),
+                                          ("\u0663*x", 0), ("\U0001d7d9", 0), ("1\u0663", 1)],
+                         ids=["superscript", "superscript-exponent", "superscript-denominator",
+                              "arabic-indic", "mathematical-one", "after-ascii"])
+def test_only_ascii_digits_are_digits(text, offset):
+    # str.isdigit holds for each of these, and int() reads the last three
+    with pytest.raises(ParseError) as info:
+        parse(text)
+    assert info.value.offset == offset
+
+
+def test_rational_literal_reads_only_ascii_digits():
+    assert rational_literal("-3/4") == Fraction(-3, 4)
+    for text in ("\u0663", "1/\u0663", "\U0001d7d9"):
+        with pytest.raises(ValueError, match="ASCII digits"):
+            rational_literal(text)
 
 
 def test_nonconstant_division_rejected():
