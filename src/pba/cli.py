@@ -4,15 +4,18 @@ Subcommands: check-jacobi (verify a bracket), bracket (evaluate one
 bracket), spectrum (classify Poisson ideals of a quasi-exact bracket),
 lift (completion-exactness certificate), corpus (regression runner).
 
-Exit codes are a stable contract: 0 for success or a true predicate,
-1 for a semantically negative answer (non-Poisson input, corpus
-mismatch), 2 for usage and parse errors.
+Exit codes are a stable contract, kept by main alone: 0 for an answer,
+1 for a negative answer, 2 for a usage error. A command returns 0 or 1
+for what it prints and raises otherwise. main answers 1 to the two
+negative answers that arrive as exceptions, NotPoissonError and
+PointSearchError, and 2, with one `error:` line, to any other ValueError.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .corpus import bundled_corpus_text, load_corpus, run_corpus
@@ -24,33 +27,23 @@ from .spectrum import PencilParameter, spectrum_report
 from .triples import NotPoissonError, PolyVec, jacobi_witness, verify_triple, bracket as bracket_op
 
 
-def _parse_or_exit(text: str, what: str) -> Poly:
+def _parse_option(text: str, what: str) -> Poly:
     try:
         return parse(text)
     except ParseError as exc:
-        print(f"error: {what}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _triple(args) -> PolyVec:
     return PolyVec(
-        _parse_or_exit(args.f, "--f"),
-        _parse_or_exit(args.g, "--g"),
-        _parse_or_exit(args.h, "--h"),
+        _parse_option(args.f, "--f"),
+        _parse_option(args.g, "--g"),
+        _parse_option(args.h, "--h"),
     )
 
 
-def _refused(exc: ValueError) -> int:
-    print(f"error: {exc}", file=sys.stderr)
-    return 2
-
-
 def _cmd_check_jacobi(args) -> int:
-    vec = _triple(args)
-    try:
-        witness = jacobi_witness(vec)
-    except ValueError as exc:
-        return _refused(exc)
+    witness = jacobi_witness(_triple(args))
     if witness.is_zero():
         print("Poisson: the Jacobi identity holds")
         return 0
@@ -60,28 +53,17 @@ def _cmd_check_jacobi(args) -> int:
 
 def _cmd_bracket(args) -> int:
     vec = _triple(args)
-    lhs = _parse_or_exit(args.lhs, "--lhs")
-    rhs = _parse_or_exit(args.rhs, "--rhs")
-    try:
-        value = bracket_op(vec, lhs, rhs)
-    except ValueError as exc:
-        return _refused(exc)
-    print(value)
+    lhs = _parse_option(args.lhs, "--lhs")
+    rhs = _parse_option(args.rhs, "--rhs")
+    print(bracket_op(vec, lhs, rhs))
     return 0
 
 
 def _parse_params(text: str) -> list[PencilParameter]:
-    params = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        try:
-            params.append(PencilParameter.parse(chunk))
-        except ValueError as exc:
-            print(f"error: --params: {exc}", file=sys.stderr)
-            raise SystemExit(2)
-    return params
+    try:
+        return [PencilParameter.parse(chunk) for chunk in map(str.strip, text.split(",")) if chunk]
+    except ValueError as exc:
+        raise ValueError(f"--params: {exc}") from None
 
 
 _KIND_TEXT = {
@@ -92,13 +74,10 @@ _KIND_TEXT = {
 
 
 def _cmd_spectrum(args) -> int:
-    s = _parse_or_exit(args.s, "--s")
-    t = _parse_or_exit(args.t, "--t")
+    s = _parse_option(args.s, "--s")
+    t = _parse_option(args.t, "--t")
     params = _parse_params(args.params)
-    try:
-        report = spectrum_report(s, t, params, args.max_deg)
-    except ValueError as exc:  # NotCoprimeError included
-        return _refused(exc)
+    report = spectrum_report(s, t, params, args.max_deg)
     payload = report_payload(s, t, args.max_deg, report)
     if args.json:
         sys.stdout.write(dumps(payload))
@@ -125,28 +104,13 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_lift(args) -> int:
     if args.weight < 0:
-        print("error: --weight must be non-negative", file=sys.stderr)
-        return 2
+        raise ValueError("--weight must be non-negative")
     if args.weight > MAX_WEIGHT:
-        print(f"error: --weight must be at most {MAX_WEIGHT}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--weight must be at most {MAX_WEIGHT}")
     if args.search_box < 0:
-        print("error: --search-box must be non-negative", file=sys.stderr)
-        return 2
-    try:
-        T = verify_triple(_triple(args))
-    except NotPoissonError as exc:
-        print(f"not Poisson: dot(F, curl F) = {exc.witness}")
-        return 1
-    except ValueError as exc:
-        return _refused(exc)
-    try:
-        cert = cm_certificate(T, args.weight, args.search_box)
-    except PointSearchError as exc:
-        print(f"no certificate: {exc}")
-        return 1
-    except ValueError as exc:
-        return _refused(exc)
+        raise ValueError("--search-box must be non-negative")
+    T = verify_triple(_triple(args))
+    cert = cm_certificate(T, args.weight, args.search_box)
     coords = ", ".join(str(c) for c in cert.point)
     print(f"cycles: {cert.cycles}")
     print(f"point: ({coords})")
@@ -169,12 +133,8 @@ def _cmd_corpus(args) -> int:
             with open(args.file, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            print(f"error: cannot read corpus: {exc}", file=sys.stderr)
-            return 2
-    try:
-        results = run_corpus(load_corpus(text))
-    except ValueError as exc:
-        return _refused(exc)
+            raise ValueError(f"cannot read corpus: {exc}") from None
+    results = run_corpus(load_corpus(text))
     if args.json:
         payload = [
             {"name": r.name, "passed": r.passed, "diffs": list(r.diffs)} for r in results
@@ -188,6 +148,13 @@ def _cmd_corpus(args) -> int:
         passed = sum(r.passed for r in results)
         print(f"{passed}/{len(results)} passed")
     return 0 if all(r.passed for r in results) else 1
+
+
+def _int_option(text: str) -> int:
+    """int(text) of an optional sign and ASCII digits, without '_' or spaces."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 @functools.cache
@@ -219,14 +186,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True, help="pencil numerator")
     p.add_argument("--t", default="1", help="pencil denominator (default 1)")
     p.add_argument("--params", default="", help="comma-separated lambda:mu values")
-    p.add_argument("--max-deg", type=int, default=3, help="factor search bound (default 3)")
+    p.add_argument("--max-deg", type=_int_option, default=3, help="factor search bound (default 3)")
     p.add_argument("--json", action="store_true", help="emit the pba/1 JSON document")
     p.set_defaults(run=_cmd_spectrum)
 
     p = sub.add_parser("lift", help="completion-exactness certificate for a Poisson triple")
     add_triple(p)
-    p.add_argument("--weight", type=int, required=True, help="truncation order")
-    p.add_argument("--search-box", type=int, default=4, help="base point search radius")
+    p.add_argument("--weight", type=_int_option, required=True, help="truncation order")
+    p.add_argument("--search-box", type=_int_option, default=4, help="base point search radius")
     p.set_defaults(run=_cmd_lift)
 
     p = sub.add_parser("corpus", help="run the regression corpus")
@@ -262,7 +229,16 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _build_parser().parse_args(_glue_values(list(argv)))
-    return args.run(args)
+    try:
+        return args.run(args)
+    except NotPoissonError as exc:
+        print(f"not Poisson: dot(F, curl F) = {exc.witness}")
+    except PointSearchError as exc:
+        print(f"no certificate: {exc}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 1
 
 
 if __name__ == "__main__":

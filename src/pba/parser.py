@@ -67,14 +67,19 @@ _LITERAL_BITS = int(MAX_LITERAL_DIGITS * log2(10)) + 1
 
 
 def rational_literal(value) -> Fraction:
-    """Fraction(value), refusing text in exponent notation or longer than
-    MAX_DIGITS characters, which Fraction would expand in full, and text
-    outside ASCII, whose other digits Fraction would read."""
+    """Fraction(value) of text or an int, refusing text in exponent
+    notation or longer than MAX_DIGITS characters, which Fraction would
+    expand in full, and text outside ASCII or with '_', bools and floats,
+    which Fraction would read as other numbers."""
     if isinstance(value, str):
         if len(value) > MAX_DIGITS or "e" in value or "E" in value:
             raise ValueError(f"rational literal needs no exponent and at most {MAX_DIGITS} characters: {value[:40]!r}")
         if not value.isascii():
             raise ValueError(f"rational literal needs ASCII digits: {value[:40]!r}")
+        if "_" in value:
+            raise ValueError(f"rational literal needs no '_': {value[:40]!r}")
+    elif isinstance(value, (bool, float)):
+        raise ValueError(f"rational literal needs text or an int: {value!r}")
     return Fraction(value)
 
 

@@ -121,11 +121,13 @@ def test_spectrum_param_in_exponent_notation_or_too_long_exits_2_quickly(param):
 
 
 @pytest.mark.parametrize("s, params", [("\u00b2", "1:0"), ("x^\u00b2", "1:0"), ("1/\u00b2", "1:0"),
-                                       ("\u0663*x", "1:0"), ("\U0001d7d9", "1:0"), ("x*y + 1", "1:\u0663")],
+                                       ("\u0663*x", "1:0"), ("\U0001d7d9", "1:0"), ("x*y + 1", "1:\u0663"),
+                                       ("x*y + 1", "1_0:1")],
                          ids=["superscript", "superscript-exponent", "superscript-denominator",
-                              "arabic-indic", "mathematical-one", "arabic-indic-param"])
+                              "arabic-indic", "mathematical-one", "arabic-indic-param", "separator-param"])
 def test_non_ascii_digits_are_a_usage_error(s, params):
-    # the first three ended in a traceback; the others read as 3*x, 1 and 1:3
+    # the first three ended in a traceback; the others read as 3*x, 1, 1:3
+    # and 10:1
     code, out, err = run_cli("spectrum", "--s", s, "--params", params)
     assert (code, out) == (2, "")
     assert err.startswith("error: --") and err.count("\n") == 1
@@ -582,6 +584,20 @@ def test_pencil_past_the_gcd_bound_exits_2_quickly(s, t):
     assert (code, out, err) == (2, "", f"error: gcd: expansion past {MAX_TERM_PAIRS} term pairs\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--s", "x*y + 1", "--params", "1:0", "--max-deg"),
+    ("lift", "--f", "y", "--g", "-x", "--h", "0", "--weight"),
+    ("lift", "--f", "y", "--g", "-x", "--h", "0", "--weight", "3", "--search-box"),
+], ids=["max-deg", "weight", "search-box"])
+@pytest.mark.parametrize("value", ["\u0663", "1_0", " 3"], ids=["arabic-indic", "separator", "space"])
+def test_integer_options_read_only_ascii_digits(argv, value):
+    # int() reads these as 3, 10 and 3
+    code, out, err = run_cli(*argv, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {argv[-1]}: invalid int value: {value!r}\n")
+    assert run_cli(*argv, "+3")[0] == 0
+
+
 @pytest.mark.parametrize("params", [(), ("--params", "1:0")], ids=["no-params", "params"])
 def test_spectrum_negative_max_deg_is_a_usage_error(params):
     assert run_cli("spectrum", "--s", "x", *params, "--max-deg", "-1") == (2, "", "error: negative degree bound\n")
@@ -745,3 +761,31 @@ def test_lift_checks_jacobi_twice(monkeypatch):
     assert code == 0
     # the input, and the triple translated to the base point (-1, -1, -1)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (("check-jacobi", "--f", "y^", "--g", "z", "--h", "x"), 2, ""),
+    (("spectrum", "--s", "x", "--params", "1;0"), 2, ""),
+    (("corpus", "run", "--file", "/nonexistent/corpus.json"), 2, ""),
+    (("spectrum", "--s", "x", "--t", "x", "--params", "1:0"), 2, ""),
+    (("check-jacobi", "--f", BIG, "--g", BIG, "--h", "x"), 2, ""),
+    (("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "-1"), 2, ""),
+    (("corpus", "run", "--file", "BAD_CORPUS"), 2, ""),
+    (("lift", "--f", "y", "--g", "z", "--h", "x", "--weight", "2"), 1,
+     "not Poisson: dot(F, curl F) = -x - y - z\n"),
+    (("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "2", "--search-box", "0"), 1,
+     "no certificate: no point with f*g != 0 found in [-0, 0]^3\n"),
+], ids=["bad-f", "bad-params", "unreadable-file", "not-coprime", "bound-refusal",
+        "negative-weight", "bad-corpus-entry", "not-poisson", "no-base-point"])
+def test_main_returns_the_exit_code(tmp_path, capsys, argv, code, out):
+    # main returns the code itself, a refusal included, and writes one
+    # error line for a refusal
+    bad = tmp_path / "corpus.json"
+    bad.write_text(json.dumps([{"name": "bad", "s": "x", "t": "1", "params": ["1;0"], "expected": {}}]))
+    assert cli.main([str(bad) if a == "BAD_CORPUS" else a for a in argv]) == code
+    got = capsys.readouterr()
+    assert got.out == out
+    if code == 2:
+        assert got.err.startswith("error: ") and got.err.count("\n") == 1
+    else:
+        assert got.err == ""

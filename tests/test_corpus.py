@@ -87,6 +87,18 @@ def test_load_corpus_errors():
         load_corpus('[{"name": "broken", "s": "x +", "t": "1", "params": [], "max_deg": 2, "expected": {}}]')
 
 
+@pytest.mark.parametrize("coordinate", ["1_0", True, 0.1], ids=["separator", "bool", "float"])
+def test_maximal_point_coordinates_are_text_or_int(coordinate):
+    # these read as 10, 1 and 3602879701896397/36028797018963968 before
+    entry = next(e for e in json.loads(bundled_corpus_text()) if e["name"] == "sl2")
+    entry["expected"]["maximal_points"] = [[coordinate, "0", "0"]]
+    with pytest.raises(ValueError, match="bad corpus entry 'sl2': rational literal needs"):
+        load_corpus(json.dumps([entry]))
+    entry["expected"]["maximal_points"] = [[0, "0", 0]]
+    (result,) = run_corpus(load_corpus(json.dumps([entry])))
+    assert result.passed
+
+
 def test_report_payload_shape():
     s = parse("1/2*z^2 - 2*x*y")
     report = spectrum_report(s, Poly.one(), [PencilParameter(1, 0)], 3)

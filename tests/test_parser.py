@@ -83,6 +83,14 @@ def test_rational_literal_reads_only_ascii_digits():
             rational_literal(text)
 
 
+def test_rational_literal_refuses_separators_bools_and_floats():
+    # Fraction reads these as 10, 1/10, 1, 0 and 3602879701896397/36028797018963968
+    for value in ("1_0", "1/1_0", True, False, 0.1):
+        with pytest.raises(ValueError, match="rational literal needs"):
+            rational_literal(value)
+    assert rational_literal(10) == rational_literal("10") == Fraction(10)
+
+
 def test_nonconstant_division_rejected():
     with pytest.raises(ParseError):
         parse("x/y")
