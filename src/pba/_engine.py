@@ -18,10 +18,9 @@ exponent.
 Buchberger reduces fraction-free, takes pairs smallest lcm first and
 prunes them by Gebauer-Moller (J. Symb. Comp. 6, 1988); bases come back
 primitive with a positive lead. One substitute (slot = a/b, times b^deg)
-serves the solver, the gcd and Poly.evaluate; Poly.translate is a Taylor
-shift. Inputs are read-only and every polynomial returned is a fresh
-dict, so callers may pass the term dicts of immutable polynomials
-uncopied.
+serves the solver, the gcd and Poly.evaluate. Inputs are read-only and
+every polynomial returned is a fresh dict, so callers may pass the term
+dicts of immutable polynomials uncopied.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ def load_corpus(text: str) -> list[CorpusEntry]:
     height_one becomes (parameter, sorted rows) pairs in key order."""
     try:
         raw = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"corpus is not valid JSON: {exc}") from None
     if not isinstance(raw, list):
         raise ValueError("corpus must be a JSON array of entries")

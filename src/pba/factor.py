@@ -285,8 +285,8 @@ def _split(q: Poly, bound: int, content: Poly | None | EllipsisType = ...) -> tu
 def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
     """Factor p into irreducibles over Q, searching factor degrees up to
     max_total_degree; monomial and squarefree structure is always exact.
-    The one runtime check of a factorization: it asserts that
-    unit * prod(factor^multiplicity) == p before returning."""
+    The one runtime check of a factorization raises AssertionError, under
+    python -O too, unless unit * prod(factor^multiplicity) == p."""
     if p.is_zero():
         raise ValueError("cannot factor the zero polynomial")
     if max_total_degree < 0:
@@ -303,5 +303,6 @@ def factor_bounded(p: Poly, max_total_degree: int) -> Factorization:
         content = ...  # the parts are not the member: each finds its own
     split = [(sq.multiplicity, *_split(sq.factor, max_total_degree, content)) for sq in squarefree]
     parts += [FactorPart(fac, mult, certified) for mult, pieces, _ in split for fac, certified in pieces]
-    assert prod((q.factor**q.multiplicity for q in parts), start=Poly.constant(unit)) == p, f"not the factors of {p}"
+    if prod((q.factor**q.multiplicity for q in parts), start=Poly.constant(unit)) != p:
+        raise AssertionError(f"not the factors of {p}")
     return Factorization(unit, tuple(parts), all(complete for _, _, complete in split))

@@ -7,9 +7,10 @@ coefficient, by total degree (weight), from
     b * d_x = f,    b * d_y = g,    b * d_z = h.
 
 The free choices d_000 = 0, d_100 = 1 and d_(w+1)00 = 0 make the output
-deterministic. A LiftResult is the two series b and d: its weight (b's
-cap) and these conventions are read from them. Weights above MAX_WEIGHT
-are refused before anything is allocated.
+deterministic. Weights above MAX_WEIGHT are refused before anything is
+allocated. cm_certificate and verify_certificate move F to the point by
+translate_variables, which keeps a PoissonTriple: Jacobi is checked on
+F alone.
 
 At weight w the equations give b's coefficients of weight w and d's of
 weight w+1. Each coefficient equation is a sum of products of one b and
@@ -48,7 +49,7 @@ from math import gcd, lcm
 from typing import Iterator, Union
 
 from .poly import Monomial, Poly, product_terms
-from .triples import PolyVec, cycle_variables, ensure_verified, verify_triple
+from .triples import cycle_variables, ensure_verified, translate_variables
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -248,15 +249,13 @@ def verify_lift(result: LiftResult, F) -> bool:
 
 
 def _base_points(box: int) -> Iterator[tuple[Fraction, Fraction, Fraction]]:
-    """Integer points by increasing max-norm, then half-integer points."""
-    for n in range(box + 1):
-        for p in product(range(-n, n + 1), repeat=3):
-            if max(abs(c) for c in p) == n:
-                yield tuple(Fraction(c) for c in p)
-    for n in range(1, 2 * box + 1):
-        for p in product(range(-n, n + 1), repeat=3):
-            if max(abs(c) for c in p) == n and any(c % 2 for c in p):
-                yield tuple(Fraction(c, 2) for c in p)
+    """Integer points, then those over 2 with an odd numerator, each by
+    increasing max-norm."""
+    for q in (1, 2):
+        for n in range(q * box + 1):
+            for p in product(range(-n, n + 1), repeat=3):
+                if max(map(abs, p)) == n and (q == 1 or any(c % 2 for c in p)):
+                    yield tuple(Fraction(c, q) for c in p)
 
 
 def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
@@ -266,7 +265,7 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
     cycling moves that component into the f slot and (b, d) = (f, x)
     works exactly. Otherwise two nonzero components are cycled into the
     f and g slots, a base point with f*g != 0 is searched inside
-    [-search_box, search_box]^3, and the translated triple is lifted.
+    [-search_box, search_box]^3, and the triple moved there is lifted.
     """
     _check_weight(weight)
     G = ensure_verified(F)
@@ -280,20 +279,13 @@ def cm_certificate(F, weight: int, search_box: int = 4) -> CmCertificate:
         G = cycle_variables(G)
     if sum(nonzero) <= 1:
         lift = LiftResult(truncate(G.f, weight), TruncatedSeries(Poly.variable(0), weight + 1))
-        return CmCertificate(point=(_ZERO, _ZERO, _ZERO), cycles=cycles, lift=lift)
+        return CmCertificate((_ZERO, _ZERO, _ZERO), cycles, lift)
 
-    for p in _base_points(search_box):
-        if G.f.evaluate(p) and G.g.evaluate(p):
-            point = p
-            break
-    else:
-        raise PointSearchError(
-            f"no point with f*g != 0 found in [-{search_box}, {search_box}]^3"
-        )
+    point = next((p for p in _base_points(search_box) if G.f.evaluate(p) and G.g.evaluate(p)), None)
+    if point is None:
+        raise PointSearchError(f"no point with f*g != 0 found in [{-search_box}, {search_box}]^3")
 
-    moved = verify_triple(PolyVec(*(c.translate(point) for c in G)))
-    lift = lift_at_origin(moved, weight)
-    return CmCertificate(point=point, cycles=cycles, lift=lift)
+    return CmCertificate(point, cycles, lift_at_origin(translate_variables(G, point), weight))
 
 
 def verify_certificate(cert: CmCertificate, F) -> bool:
@@ -301,5 +293,4 @@ def verify_certificate(cert: CmCertificate, F) -> bool:
     G = ensure_verified(F)
     for _ in range(cert.cycles):
         G = cycle_variables(G)
-    moved = PolyVec(*(c.translate(cert.point) for c in G))
-    return verify_lift(cert.lift, moved)
+    return verify_lift(cert.lift, translate_variables(G, cert.point))

@@ -7,7 +7,8 @@ determinant with rows F, grad(b), grad(c). The triple defines a Poisson
 polynomial is returned as the witness when the check fails.
 
 A PoissonTriple is a PolyVec that passed this check: only verify_triple,
-the three constructors below and cycle_variables make one.
+the three constructors below and the automorphism moves cycle_variables
+and translate_variables make one.
 
 jacobi_witness and bracket refuse, with a ValueError, any product they
 would form past the product bounds (poly.product_error).
@@ -31,9 +32,6 @@ class PolyVec:
 
     def __iter__(self) -> Iterator[Poly]:
         return iter((self.f, self.g, self.h))
-
-    def __getitem__(self, i: int) -> Poly:
-        return (self.f, self.g, self.h)[i]
 
     def __add__(self, other: "PolyVec") -> "PolyVec":
         return PolyVec(self.f + other.f, self.g + other.g, self.h + other.h)
@@ -236,3 +234,9 @@ def cycle_variables(F: PolyVec) -> PolyVec:
     perm = (1, 2, 0)
     f, g, h = F
     return type(F)(g.substitute_exponents(perm), h.substitute_exponents(perm), f.substitute_exponents(perm))
+
+
+def translate_variables(F: PolyVec, point: tuple) -> PolyVec:
+    """F under the shift (x, y, z) -> (x, y, z) + point. It commutes with
+    d/dx, d/dy, d/dz, so the witness moves with F and F's type is kept."""
+    return type(F)(*(c.translate(point) for c in F))

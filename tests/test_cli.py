@@ -629,7 +629,8 @@ def test_corpus_missing_file():
 @pytest.mark.parametrize("content, message", [
     (b"\x7fELF\x02\x01\x01\x00\xd0\x00", "error: cannot read corpus: 'utf-8' codec can't decode"),
     (b"[" * 100_000, "error: corpus is not valid JSON: maximum recursion depth exceeded"),
-], ids=["binary", "deep-nesting"])
+    (b'[{"max_deg": ' + b"1" * 5000 + b"}]", "error: corpus is not valid JSON: Exceeds the limit (4300 digits)"),
+], ids=["binary", "deep-nesting", "long-integer"])
 def test_unreadable_corpus_is_a_usage_error(tmp_path, content, message):
     bad = tmp_path / "corpus.json"
     bad.write_bytes(content)
@@ -744,7 +745,7 @@ def test_lift_golden_readme():
     assert out == (GOLDEN / "lift_readme.txt").read_text(encoding="utf-8")
 
 
-def test_lift_checks_jacobi_twice(monkeypatch):
+def test_lift_checks_jacobi_once(monkeypatch):
     import pba.cli
     import pba.triples
 
@@ -759,8 +760,21 @@ def test_lift_checks_jacobi_twice(monkeypatch):
     monkeypatch.setattr(pba.cli, "jacobi_witness", counted)
     code, _, _ = run_cli("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "3")
     assert code == 0
-    # the input, and the triple translated to the base point (-1, -1, -1)
-    assert len(calls) == 2
+    # the input only: the triple moved to the base point (-1, -1, -1) is
+    # Poisson by the move, and the replay moves it again unchecked
+    assert [tuple(map(str, F)) for F in calls] == [("x", "y", "z")]
+
+
+def test_lift_bounds_only_the_products_of_its_input():
+    # F's Jacobi products pass the bound; those of F moved to the base
+    # point (-1, -1, 1), 8,778 terms per component, would not
+    B = "(x^20*y^20*z^17 + 1)"
+    start = time.perf_counter()
+    code, out, err = run_cli("lift", "--f", f"{B}*y*z", "--g", f"{B}*x*z", "--h", f"{B}*x*y", "--weight", "2")
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert "point: (-1, -1, 1)\n" in out
+    assert out.endswith("congruence through degree 2: verified\n")
 
 
 @pytest.mark.parametrize("argv, code, out", [
@@ -774,7 +788,7 @@ def test_lift_checks_jacobi_twice(monkeypatch):
     (("lift", "--f", "y", "--g", "z", "--h", "x", "--weight", "2"), 1,
      "not Poisson: dot(F, curl F) = -x - y - z\n"),
     (("lift", "--f", "x", "--g", "y", "--h", "z", "--weight", "2", "--search-box", "0"), 1,
-     "no certificate: no point with f*g != 0 found in [-0, 0]^3\n"),
+     "no certificate: no point with f*g != 0 found in [0, 0]^3\n"),
 ], ids=["bad-f", "bad-params", "unreadable-file", "not-coprime", "bound-refusal",
         "negative-weight", "bad-corpus-entry", "not-poisson", "no-base-point"])
 def test_main_returns_the_exit_code(tmp_path, capsys, argv, code, out):

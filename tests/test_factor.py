@@ -1,8 +1,12 @@
 """Tests for bounded rational factorization."""
 
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 import sympy as sp
@@ -142,6 +146,27 @@ def test_factors_of_another_member_do_not_multiply_back(monkeypatch):
     monkeypatch.setattr(factor, "_split", lambda q, bound, content: other)
     with pytest.raises(AssertionError):
         factor_bounded(X**2 - Y**2, 2)
+
+
+def test_the_multiply_back_check_holds_under_python_O():
+    # python -O strips assert statements; the check raises AssertionError
+    # itself, so the case above fails the same way there
+    probe = (
+        "from pba import factor\n"
+        "from pba.poly import X, Y\n"
+        "other = factor._split(X**2 - 4 * Y**2, 2)\n"
+        "factor._split = lambda q, bound, content: other\n"
+        "assert False, '-O is off'\n"
+        "try:\n"
+        "    factor.factor_bounded(X**2 - Y**2, 2)\n"
+        "except AssertionError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(factor.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-O", "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "not the factors of x^2 - y^2\n"
 
 
 @pytest.mark.parametrize("mutate", [

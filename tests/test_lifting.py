@@ -1,6 +1,7 @@
 """Tests for truncated series and completion-exactness certificates."""
 
 import fractions
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -483,6 +484,20 @@ def test_lift_kernel_makes_no_fraction(monkeypatch):
     # the counter sees the Fractions the module makes elsewhere
     next(pba.lifting._base_points(0))
     assert made
+
+
+def test_base_points_keep_their_order():
+    # integer points by max-norm shell, then those over 2 with an odd
+    # numerator; the counts and digests of boxes 0-3 pin the search order
+    pts = [tuple(map(str, p)) for p in pba.lifting._base_points(1)]
+    assert pts[:3] == [("0", "0", "0"), ("-1", "-1", "-1"), ("-1", "-1", "0")]
+    assert pts[26:29] == [("1", "1", "1"), ("-1/2", "-1/2", "-1/2"), ("-1/2", "-1/2", "0")]
+    assert pts[-1] == ("1", "1", "1/2")
+    digests = {0: "8697390739fc8c1b", 1: "5b452bb1b9961807", 2: "7f0815541330dc3b", 3: "6d5464b6ffd893f5"}
+    for box, digest in digests.items():
+        points = list(pba.lifting._base_points(box))
+        assert len(points) == (4 * box + 1) ** 3
+        assert hashlib.sha256(repr(points).encode()).hexdigest()[:16] == digest
 
 
 def test_ratio_is_reduced_over_a_positive_denominator():

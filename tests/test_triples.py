@@ -1,5 +1,7 @@
 """Tests for bracket construction and verification."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,6 +31,7 @@ from pba.triples import (
     jacobiator,
     m_exact_triple,
     qm_exact_triple,
+    translate_variables,
     verify_triple,
 )
 
@@ -39,6 +42,7 @@ coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 monos = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
 polys = st.dictionaries(monos, coeffs, max_size=4).map(Poly)
 vecs = st.tuples(polys, polys, polys).map(lambda t: PolyVec(*t))
+halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
 
 
 def test_vector_calculus_pins():
@@ -250,3 +254,17 @@ def test_cycle_preserves_poisson(F):
     if not is_poisson_triple(F):
         return
     assert jacobi_witness(cycle_variables(verify_triple(F))).is_zero()
+
+
+@given(vecs, st.tuples(polys, polys), st.tuples(halves, halves, halves))
+@settings(max_examples=30)
+def test_translate_moves_the_witness(F, ba, p):
+    # a shift commutes with d/dx, d/dy, d/dz: the moved triple's witness
+    # is the witness moved, Poisson or not, and the type is kept
+    moved = translate_variables(F, p)
+    assert type(moved) is PolyVec
+    assert jacobi_witness(moved) == jacobi_witness(F).translate(p)
+    assert translate_variables(moved, tuple(-c for c in p)) == F
+    T = translate_variables(m_exact_triple(*ba), p)
+    assert type(T) is PoissonTriple
+    assert jacobi_witness(T).is_zero()
