@@ -739,6 +739,14 @@ def test_lift_golden(family, weight):
     assert out == (GOLDEN / f"lift_{family}_w{weight}.txt").read_text(encoding="utf-8")
 
 
+def test_lift_golden_dense():
+    # the origin triple at weight 20: b and d have terms in x, y and z
+    f, g, h = LIFT_TRIPLES["origin"]
+    code, out, err = run_cli("lift", "--f", f, "--g", g, "--h", h, "--weight", "20")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "lift_dense_w20.txt").read_text(encoding="utf-8")
+
+
 def test_lift_golden_readme():
     code, out, err = run_cli("lift", "--f", "y", "--g", "-x", "--h", "0", "--weight", "4")
     assert (code, err) == (0, "")

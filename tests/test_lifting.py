@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pba.lifting
@@ -23,7 +23,7 @@ from pba.lifting import (
     verify_lift,
 )
 from pba.poly import Poly, X, Y, Z
-from pba.triples import PolyVec, cycle_variables, grad, qm_exact_triple, verify_triple
+from pba.triples import PolyVec, cycle_variables, grad, qm_exact_triple, translate_variables, verify_triple
 
 coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=4)
 monos = st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3))
@@ -569,3 +569,110 @@ def test_lift_skips_pivots_that_are_zero_by_their_inputs(monkeypatch):
     # about one division per stored coefficient, not one per x-y monomial
     assert len(calls) <= 2 * 102
     assert_matches_oracle(T, lift_at_origin(T, 8), 8)
+
+
+def product_check(result: LiftResult, F) -> bool:
+    """The congruence by its definition: the capped products b * d_v
+    against each component truncated at the weight."""
+    b, d, w = result.b, result.d, result.weight
+    return all(b * d.derivative(v) == truncate(c, w) for v, c in enumerate(F))
+
+
+def replace_component(F, v: int, c: Poly) -> PolyVec:
+    parts = list(F)
+    parts[v] = c
+    return PolyVec(*parts)
+
+
+points = st.sampled_from([(0, 0, 0), (1, -1, 0), (Fraction(1, 2), 0, Fraction(-1, 3)), (-2, Fraction(3, 2), 1)])
+
+
+@given(
+    st.dictionaries(low_monos, small, max_size=4), units, small, st.integers(0, 2), units,
+    st.integers(0, 2), points, st.integers(0, 8),
+    st.sampled_from(("none", "b", "d", "f", "g", "h")), st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+@example({(1, 1, 0): Fraction(1, 5), (0, 2, 1): 1}, Fraction(1, 2), Fraction(-1, 3), 0, Fraction(1, 7),
+         0, (0, 0, 0), 4, "h", 0)
+def test_verify_lift_is_the_product_check(extra, sx, sy, v, c, cycles, point, weight, part, pick):
+    # qm_exact triples of s/t, cycled and moved: their components have
+    # different denominators and terms above the weight, which the check
+    # ignores; one coefficient of b, d or a component, at most two weights
+    # above the weight, is tampered with
+    s = Poly({m: q for m, q in extra.items() if sum(m) > 1}) + sx * X + sy * Y
+    try:
+        T = qm_exact_triple(s, Fraction(3, 4) + c * Poly.variable(v))
+    except ValueError:
+        assume(False)
+    G = T
+    for _ in range(cycles):
+        G = cycle_variables(G)
+    G = translate_variables(G, point)
+    assume(G.f.constant_term() and G.g.constant_term())
+    result = lift_at_origin(G, weight)
+    assert verify_lift(result, G) and product_check(result, G)
+    if part == "b":
+        m = monomials(weight)[pick % len(monomials(weight))]
+        result = LiftResult(TruncatedSeries(result.b.poly + Poly.term(Fraction(1, 3), m), weight), result.d)
+    elif part == "d":
+        m = monomials(weight + 1)[pick % len(monomials(weight + 1))]
+        result = LiftResult(result.b, TruncatedSeries(result.d.poly + Poly.term(Fraction(1, 3), m), weight + 1))
+    elif part != "none":
+        m = monomials(weight + 2)[pick % len(monomials(weight + 2))]
+        k = "fgh".index(part)
+        G = replace_component(G, k, list(G)[k] + Poly.term(Fraction(1, 3), m))
+    assert verify_lift(result, G) == product_check(result, G)
+
+
+def test_verify_lift_keeps_the_cap_contract():
+    T = qm_exact_triple(X / 2 - Y / 3 + Z / 5 + X * Z / 5 + Y**2 * Z, Fraction(3, 4) + X / 7 - Z)
+    b = lift_at_origin(T, 3).b
+    # d's cap must be b's plus one, and the check says so before it reads
+    # a term: a term of weight 5 would lie past the slices of weight 3
+    for d, text in [
+        (TruncatedSeries(X + Y**5, 5), "cap mismatch: 3 vs 4"),
+        (TruncatedSeries(X + Y**3, 3), "cap mismatch: 3 vs 2"),
+        (TruncatedSeries(Poly.zero(), 0), "cap mismatch: 3 vs 0"),
+    ]:
+        for check, F in [(verify_lift, T), (product_check, T), (verify_lift, None)]:
+            with pytest.raises(ValueError) as info:
+                check(LiftResult(b, d), F)
+            assert str(info.value) == text
+    # caps 0 and 0 keep the contract, since d's derivative is capped at 0
+    result = LiftResult(truncate(T.f, 0), TruncatedSeries(Poly.one(), 0))
+    for F, holds in [(T, False), (PolyVec(X, Y, Z), True)]:
+        assert verify_lift(result, F) is product_check(result, F) is holds
+
+
+def test_verify_lift_reads_each_coefficient_at_its_own_index():
+    # the top slice holds the exponents w+1 at the edge of an index row:
+    # a change to any coefficient at or just past the weight is seen where
+    # the product check sees it, or ignored where it is ignored
+    T = qm_exact_triple(X / 2 - Y / 3 + Z / 5 + X * Z / 5 + Y**2 * Z, Fraction(3, 4) + X / 7 - Z)
+    for w in range(6):
+        result = lift_at_origin(T, w)
+        top = [m for m in monomials(w + 1) if sum(m) == w + 1]
+        for m in top:
+            tampered_d = LiftResult(result.b, TruncatedSeries(result.d.poly + Poly.term(1, m), w + 1))
+            assert verify_lift(tampered_d, T) is product_check(tampered_d, T) is False
+        for m in (m for m in monomials(w + 1) if sum(m) >= w):
+            for k in range(3):
+                F = replace_component(T, k, list(T)[k] + Poly.term(1, m))
+                assert verify_lift(result, F) is product_check(result, F) is (sum(m) > w)
+        for m in (m for m in monomials(w) if sum(m) == w):
+            tampered_b = LiftResult(TruncatedSeries(result.b.poly + Poly.term(1, m), w), result.d)
+            assert verify_lift(tampered_b, T) is product_check(tampered_b, T) is False
+
+
+def test_dense_lift_passes_both_checks():
+    # the lift of tests/golden/lift_dense_w20.txt: b and d have terms in
+    # x, y and z at every weight
+    F = verify_triple(PolyVec(-3 * X**2 * Y + 3 * X**2 + Y - 1, X**3 - 2 * Z**2 - X + 1, 4 * Y**2 * Z - 4 * Y * Z))
+    cert = cm_certificate(F, 20)
+    assert (cert.cycles, cert.point) == (0, (0, 0, 0))
+    assert all(any(m[v] for m, _ in cert.lift.d.poly.items() if sum(m) == 21) for v in range(3))
+    assert verify_lift(cert.lift, F) and product_check(cert.lift, F)
+    assert verify_certificate(cert, F)
+    wrong = LiftResult(cert.lift.b, TruncatedSeries(cert.lift.d.poly + Poly.term(1, (3, 9, 9)), 21))
+    assert verify_lift(wrong, F) is product_check(wrong, F) is False
