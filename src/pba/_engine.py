@@ -1,10 +1,12 @@
 """Gröbner machinery over raw exponent-tuple polynomials.
 
 An Epoly maps exponent tuples of any fixed width to nonzero ints: three
-for groebner.py, and one more per unknown coefficient in the factor-search
-ansatz. An order is a sort key with a block (lo, hi): lex, slot 0
-highest, except that slots lo..hi-1 (hi None: the rest) compare by their
-sum first; grlex_key has the block (0, None).
+(x, y, z) for groebner.py; four in the gcd's elimination (t, x, y, z in
+poly._gcd_by_lcm); three plus one per unknown coefficient in the ansatz
+division (factor._division_system); and one per unknown in the ansatz
+systems passed to solve_rational. An order is a sort key with a block
+(lo, hi): lex, slot 0 highest, except that slots lo..hi-1 (hi None: the
+rest) compare by their sum first; grlex_key has the block (0, None).
 
 buchberger, normal_form and certify pack each monomial into one int
 (Monagan & Pearce, CASC 2007): per slot a field of B value bits under a

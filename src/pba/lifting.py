@@ -54,7 +54,7 @@ from itertools import chain, product
 from math import gcd, lcm
 from typing import Iterator, Union
 
-from .poly import Monomial, Poly, product_terms
+from .poly import Monomial, Poly
 from .triples import cycle_variables, ensure_verified, translate_variables
 
 _ZERO = Fraction(0)
@@ -89,10 +89,11 @@ class TruncatedSeries:
             raise ValueError(f"term of degree {self.poly.total_degree()} above the cap {self.cap}")
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
+        if not isinstance(other, TruncatedSeries):
+            return NotImplemented
         if self.cap != other.cap:
             raise ValueError(f"cap mismatch: {self.cap} vs {other.cap}")
-        a, b = self.poly, other.poly
-        return TruncatedSeries(Poly._make(product_terms(a._num, b._num, self.cap), a._den * b._den), self.cap)
+        return truncate(self.poly * other.poly, self.cap)
 
     def derivative(self, var: Union[str, int]) -> "TruncatedSeries":
         """Partial derivative; the cap drops by one because the top slice

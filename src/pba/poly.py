@@ -7,8 +7,8 @@ exact division and the gcd run on ints; a Fraction is made only where a
 coefficient leaves the class (items, coeff, leading_coefficient,
 evaluate). Display and leads use graded lex with x > y > z.
 
-A product convolves the numerators (product_terms, which also multiplies
-the capped series of `lifting`) over the product of the denominators.
+A product convolves the numerators (product_terms) over the product of
+the denominators; the capped series of `lifting` multiply by it too.
 exact_quotient divides by the divisor's primitive part over Z and, by
 Gauss's lemma, stops at the first lead coefficient that does not divide
 (Geddes, Czapor & Labahn, "Algorithms for Computer Algebra", 1992).
@@ -61,6 +61,14 @@ def int_text(n: int) -> str:
 def rat_text(q: Fraction) -> str:
     """str(q) at any size."""
     return int_text(q.numerator) + (f"/{int_text(q.denominator)}" if q.denominator != 1 else "")
+
+
+def _point(point: Iterable[ScalarLike]) -> tuple[ScalarLike, ...]:
+    """point as a tuple; a ValueError unless it has three coordinates."""
+    point = tuple(point)
+    if len(point) != 3:
+        raise ValueError(f"a point has 3 coordinates, not {len(point)}")
+    return point
 
 
 def _var_index(var: Union[str, int]) -> int:
@@ -259,7 +267,7 @@ class Poly:
 
     def evaluate(self, point: Iterable[ScalarLike]) -> Fraction:
         num, den = self._num, self._den
-        for vi, v in enumerate(point):
+        for vi, v in enumerate(_point(point)):
             num, deg = substitute(num, vi, v.numerator, v.denominator)
             den *= v.denominator**deg
         return Fraction(num.get(_ORIGIN_MONO, 0), den)
@@ -270,7 +278,7 @@ class Poly:
         sum_r n*C(e, r)*p^(e-r)*q^(top-e+r)*v^r over q^top. A ValueError
         refuses a shift whose term pairs or bits pass bound_error."""
         num, den = self._num, self._den
-        point = tuple(point)
+        point = _point(point)
         moved = [(vi, a.numerator, a.denominator, max(m[vi] for m in num)) for vi, a in enumerate(point) if a and num]
         if moved:
             sx, sy, sz = map(bool, point)
@@ -335,29 +343,14 @@ class Poly:
         return text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int], cap: Union[int, None] = None) -> Terms:
-    """The nonzero terms of the product of the integer term maps a and b;
-    given a cap, only those of total degree <= cap, each monomial packed
-    into one int of three cap.bit_length()-bit fields, which no exponent of
-    a kept term overflows (Monagan & Pearce, CASC 2007)."""
+def product_terms(a: Mapping[Monomial, int], b: Mapping[Monomial, int]) -> Terms:
+    """The nonzero terms of the product of the integer term maps a and b."""
     acc = {}
-    if cap is None:
-        for (a0, a1, a2), x in a.items():
-            for (b0, b1, b2), y in b.items():
-                m = (a0 + b0, a1 + b1, a2 + b2)
-                acc[m] = acc.get(m, 0) + x * y
-        return {m: n for m, n in acc.items() if n}
-    B = cap.bit_length()
-    right = sorted((b0 + b1 + b2, (b0 << B | b1) << B | b2, y) for (b0, b1, b2), y in b.items())
     for (a0, a1, a2), x in a.items():
-        room, p = cap - a0 - a1 - a2, (a0 << B | a1) << B | a2
-        for e, q, y in right:
-            if e > room:
-                break
-            m = p + q
+        for (b0, b1, b2), y in b.items():
+            m = (a0 + b0, a1 + b1, a2 + b2)
             acc[m] = acc.get(m, 0) + x * y
-    mask = (1 << B) - 1
-    return {(m >> B >> B, m >> B & mask, m & mask): n for m, n in acc.items() if n}
+    return {m: n for m, n in acc.items() if n}
 
 
 # -- bounds on products ------------------------------------------------

@@ -126,6 +126,15 @@ def test_series_mul_cancellation():
         series(X / 2, 2) * series(Y / 3, 3)
 
 
+@pytest.mark.parametrize("other", [2, X, Poly.constant(2)], ids=["int", "poly", "constant"])
+def test_series_times_a_non_series_is_a_type_error(other):
+    a = truncate(X + 1, 2)
+    with pytest.raises(TypeError):
+        a * other
+    with pytest.raises(TypeError):
+        other * a
+
+
 @given(polys, polys, polys, st.integers(0, 4))
 @settings(max_examples=30)
 def test_series_ring_axioms(p, q, r, cap):

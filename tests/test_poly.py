@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pba import poly
+from pba.lifting import truncate
 from pba.parser import parse
 from pba.poly import (
     Poly,
@@ -156,26 +157,13 @@ def test_product_pins():
 CAPS = (0, 1, 3, 4, 7, 8, 15, 16, 101)
 
 
-def truncated(terms: dict, cap: int) -> dict:
-    return {m: n for m, n in terms.items() if sum(m) <= cap}
-
-
 @pytest.mark.parametrize("cap", CAPS)
 def test_capped_product_pins(cap):
     # exponents equal to the cap in each slot, and terms above it
-    a = {(cap, 0, 0): 2, (0, cap, 0): -3, (0, 0, cap): 5, (0, 0, 0): 1, (cap + 1, 0, 0): 7, (1, 1, cap): 4}
-    b = {(0, 0, 0): -1, (0, 0, cap): 6, (1, 0, 0): 3, (0, cap + 1, 0): 9}
-    assert poly.product_terms(a, b, cap) == truncated(poly.product_terms(a, b), cap)
-    assert poly.product_terms(b, a, cap) == truncated(poly.product_terms(a, b), cap)
-
-
-@given(st.sampled_from(CAPS), st.data())
-@settings(max_examples=60, deadline=None)
-def test_capped_product_is_the_truncated_product(cap, data):
-    e = st.integers(0, cap + 2) | st.sampled_from((0, 1, cap, cap + 1))
-    terms = st.dictionaries(st.tuples(e, e, e), st.integers(-9, 9).filter(bool), max_size=8)
-    a, b = data.draw(terms), data.draw(terms)
-    assert poly.product_terms(a, b, cap) == truncated(poly.product_terms(a, b), cap)
+    a = Poly({(cap, 0, 0): 2, (0, cap, 0): -3, (0, 0, cap): 5, (0, 0, 0): 1, (cap + 1, 0, 0): 7, (1, 1, cap): 4})
+    b = Poly({(0, 0, 0): -1, (0, 0, cap): 6, (1, 0, 0): 3, (0, cap + 1, 0): 9})
+    assert truncate(a, cap) * truncate(b, cap) == truncate(a * b, cap)
+    assert truncate(b, cap) * truncate(a, cap) == truncate(a * b, cap)
 
 
 big_coeffs = st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4)
@@ -213,11 +201,22 @@ def test_evaluate():
     p = X**2 + Y * Z
     assert p.evaluate((2, 3, 4)) == 16
     assert p.evaluate((Fraction(1, 2), 0, 0)) == Fraction(1, 4)
+    assert (X + Z).evaluate(iter((1, 2, 3))) == 4
+
+
+@pytest.mark.parametrize("point", [(), (1, 2), (1, 2, 3, 4), [1, 2, 3, 4, 5]], ids=len)
+def test_evaluate_and_translate_take_three_coordinates(point):
+    # a short point would drop the z term, a long one fail inside the substitution
+    with pytest.raises(ValueError, match="a point has 3 coordinates"):
+        (X + Z).evaluate(point)
+    with pytest.raises(ValueError, match="a point has 3 coordinates"):
+        (X + Z).translate(point)
 
 
 def test_translate_pin():
     assert (X * Y).translate((1, 2, 0)) == (X + 1) * (Y + 2)
     assert (Z**2).translate((0, 0, -1)) == Z**2 - 2 * Z + 1
+    assert (X + Z).translate([1, 2, 3]) == X + Z + 4
 
 
 def test_translate_of_a_high_power_is_fast():
